@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local pre-PR gate: tapas-lint, the tier-1 verify line plus the
-# step-loop bench perf gate in Release, a Debug pass that actually
-# executes the incremental-view/predictor cross-check asserts,
-# sanitizer legs, and (when clang++ is available) the compile-time
-# thread-safety analysis. Run from anywhere inside the repo.
+# step-loop bench perf gate in Release, the kill-9 crash drill, the
+# perfbench digest gate, a Debug pass that actually executes the
+# incremental-view/predictor cross-check asserts, sanitizer legs,
+# and (when clang++ is available) the compile-time thread-safety
+# analysis. Run from anywhere inside the repo.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,8 +60,9 @@ fail_on_skipped "$release_log"
 
 echo "== step-loop bench + perf gate (Release) =="
 # Full mode (the loop is fast enough); emit the JSON into build/ so
-# the repo root stays clean, and gate >20% steps/s regressions
-# against the committed baseline.
+# the repo root stays clean, and gate steps/s regressions beyond
+# kCheckTolerance (45%, bench/bench_step_loop.cc) against the
+# committed baseline.
 (cd build && ./bench_step_loop --check ../BENCH_step_loop.json)
 
 echo "== kill-9 crash-recovery drill (Release) =="
@@ -69,6 +71,13 @@ echo "== kill-9 crash-recovery drill (Release) =="
 # assert a deliberately corrupted snapshot is rejected with a
 # structured error (scripts/crash_drill.sh).
 scripts/crash_drill.sh build
+
+echo "== perfbench self-test + default-seed digests (Release) =="
+# Builds the perfbench harness into .bench_build/ and runs every
+# BENCHMARK.json workload briefly at its default seed; fails unless
+# each reports correct=true, i.e. the final stateDigest still matches
+# its pin in perfbench/expected.json (scripts/perfbench_gate.sh).
+scripts/perfbench_gate.sh
 
 echo "== configure (Debug) =="
 cmake -B build-dbg -S . -DCMAKE_BUILD_TYPE=Debug

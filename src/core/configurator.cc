@@ -35,33 +35,10 @@ InstanceConfigurator::feasible(ServerId server,
     if (profile.goodputTps <= 0.0)
         return false;
     const PerfModel::OperatingPoint op =
-        // lint-allow(R1): cold path — single-candidate feasibility
-        // probe (fallback/hysteresis), not the block-batched walk.
         perf.operatingPointAt(profile,
                               std::min(demand_tps,
                                        profile.goodputTps));
     return feasibleAt(server, profiles, limits, profile, op);
-}
-
-double
-InstanceConfigurator::heatFractionOf(
-    const ConfigProfile &profile,
-    const PerfModel::OperatingPoint &op) const
-{
-    // Airflow tracks heat: normalized GPU draw across the server.
-    const ServerSpec &spec = perf.spec();
-    const double idle_sum =
-        spec.gpuIdlePower.value() * spec.gpusPerServer;
-    const double max_sum =
-        spec.gpuMaxPower.value() * spec.gpusPerServer;
-    const double gpu_total = op.gpuPower.value() *
-            profile.activeGpus +
-        spec.gpuIdlePower.value() *
-            (spec.gpusPerServer - profile.activeGpus);
-    return max_sum > idle_sum
-        ? std::clamp((gpu_total - idle_sum) / (max_sum - idle_sum),
-                     0.0, 1.0)
-        : 0.0;
 }
 
 bool
@@ -82,7 +59,9 @@ InstanceConfigurator::feasibleAt(ServerId server,
     if (hottest > limits.maxGpuTempC)
         return false;
 
-    const double heat = heatFractionOf(profile, op);
+    // Airflow tracks heat: normalized GPU draw across the server.
+    const double heat =
+        perf.heatFraction(op.gpuPower.value(), profile.activeGpus);
     double airflow = 0.0;
     profiles.predictAirflowCandidates(server, &heat, 1, &airflow);
     return airflow <= limits.maxAirflowCfm;
@@ -109,8 +88,6 @@ InstanceConfigurator::choose(ServerId server,
     auto power_at_demand = [&](const ConfigProfile &p) {
         const double capped =
             std::min(demand_tps, std::max(1.0, p.goodputTps));
-        // lint-allow(R1): cold path — tie-break power probe for the
-        // handful of finalists, not the candidate block walk.
         return perf.operatingPointAt(p, capped)
             .serverPower.value();
     };
@@ -184,7 +161,8 @@ InstanceConfigurator::choose(ServerId server,
         }
         for (std::size_t i = 0; i < pending; ++i) {
             gpu_power[i] = ops[i].gpuPower.value();
-            heat[i] = heatFractionOf(*cands[i], ops[i]);
+            heat[i] = perf.heatFraction(gpu_power[i],
+                                        cands[i]->activeGpus);
         }
         profiles.predictHottestGpuCandidates(
             server, limits.inletC, gpu_power, pending, hottest);
@@ -205,8 +183,8 @@ InstanceConfigurator::choose(ServerId server,
                 std::min(demand_tps, std::max(1.0, cand.goodputTps));
             const double rank_power_w = rank_demand == feas_demand
                 ? op.serverPower.value()
-                // lint-allow(R1): cold path — only candidates whose
-                // goodput cannot serve 1 token/s re-rank here.
+                // Only candidates whose goodput cannot serve
+                // 1 token/s re-rank here.
                 : perf.operatingPointAt(cand, rank_demand)
                       .serverPower.value();
             const bool meets = cand.goodputTps >= target_tps;
@@ -329,8 +307,6 @@ InstanceConfigurator::choose(ServerId server,
         const double cur_feas_demand =
             std::min(demand_tps, current.goodputTps);
         const PerfModel::OperatingPoint cur_op =
-            // lint-allow(R1): cold path — hysteresis check of the
-            // one incumbent config after the batched walk decided.
             perf.operatingPointAt(current, cur_feas_demand);
         if (feasibleAt(server, profiles, limits, current, cur_op)) {
             const bool current_meets =
@@ -340,8 +316,7 @@ InstanceConfigurator::choose(ServerId server,
             const double current_power =
                 cur_rank_demand == cur_feas_demand
                 ? cur_op.serverPower.value()
-                // lint-allow(R1): cold path — sub-1-token/s goodput
-                // re-rank of the incumbent only.
+                // Sub-1-token/s goodput re-rank of the incumbent.
                 : perf.operatingPointAt(current, cur_rank_demand)
                       .serverPower.value();
             // Reload-requiring switches (TP/model/quant) carry a

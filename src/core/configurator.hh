@@ -103,20 +103,14 @@ class InstanceConfigurator
 
     /**
      * Limit checks with the operating point already evaluated; lets
-     * choose() share one operatingPointAt() per candidate between
-     * feasibility and power ranking (the step loop's hottest call).
+     * feasible() and choose()'s incumbent hysteresis check share one
+     * operating-point solve between feasibility and power ranking
+     * (the candidate walk checks its blocks batched instead).
      */
     bool feasibleAt(ServerId server, const ProfileBank &profiles,
                     const InstanceLimits &limits,
                     const ConfigProfile &profile,
                     const PerfModel::OperatingPoint &op) const;
-
-    /**
-     * Normalized server heat at a candidate operating point (the
-     * airflow models are fitted against this load definition).
-     */
-    double heatFractionOf(const ConfigProfile &profile,
-                          const PerfModel::OperatingPoint &op) const;
 };
 
 } // namespace tapas

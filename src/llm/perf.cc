@@ -56,6 +56,17 @@ quantIntensityFactor(Quantization quant)
     return 1.0;
 }
 
+/** Sum of GPU draw across a server, inactive GPUs idle. */
+double
+gpuTotalW(const ServerSpec &spec, double active_gpu_w,
+          int active_gpus)
+{
+    const double idle_gpus =
+        static_cast<double>(spec.gpusPerServer - active_gpus);
+    return active_gpu_w * active_gpus +
+        spec.gpuIdlePower.value() * idle_gpus;
+}
+
 } // namespace
 
 double
@@ -88,17 +99,10 @@ PerfModel::PerfModel(const PerfModel &other)
     : hwSpec(other.hwSpec), perfParams(other.perfParams),
       sloSpec(other.sloSpec)
 {
-    {
-        MutexLock lock(other.cacheMutex);
-        profileCache = other.profileCache;
-        cacheHits = other.cacheHits;
-        cacheMisses = other.cacheMisses;
-    }
-    // Table grids rebuild lazily (pure functions of spec + params),
-    // so copying the enable parameters is enough.
-    MutexLock lock(other.opTableMutex);
-    opTableStepTps = other.opTableStepTps;
-    opTableMaxTps = other.opTableMaxTps;
+    MutexLock lock(other.cacheMutex);
+    profileCache = other.profileCache;
+    cacheHits = other.cacheHits;
+    cacheMisses = other.cacheMisses;
 }
 
 PerfModel &
@@ -106,19 +110,13 @@ PerfModel::operator=(const PerfModel &other)
 {
     if (this == &other)
         return *this;
-    {
-        MutexLock2 lock(cacheMutex, other.cacheMutex);
-        hwSpec = other.hwSpec;
-        perfParams = other.perfParams;
-        sloSpec = other.sloSpec;
-        profileCache = other.profileCache;
-        cacheHits = other.cacheHits;
-        cacheMisses = other.cacheMisses;
-    }
-    MutexLock2 lock(opTableMutex, other.opTableMutex);
-    opTableStepTps = other.opTableStepTps;
-    opTableMaxTps = other.opTableMaxTps;
-    opTables.clear();
+    MutexLock2 lock(cacheMutex, other.cacheMutex);
+    hwSpec = other.hwSpec;
+    perfParams = other.perfParams;
+    sloSpec = other.sloSpec;
+    profileCache = other.profileCache;
+    cacheHits = other.cacheHits;
+    cacheMisses = other.cacheMisses;
     return *this;
 }
 
@@ -337,28 +335,9 @@ Watts
 PerfModel::estimateServerPower(const ConfigProfile &profile,
                                double utilization) const
 {
-    const double util = std::clamp(utilization, 0.0, 1.0);
-    const Watts active = estimateGpuPower(profile, util);
-    const double idle_gpus =
-        static_cast<double>(hwSpec.gpusPerServer - profile.activeGpus);
-    const double gpu_total =
-        active.value() * profile.activeGpus +
-        hwSpec.gpuIdlePower.value() * idle_gpus;
-    // Chassis components and fans track the heat the GPUs shed, not
-    // busy time: a down-clocked instance really does cool the box.
-    const double idle_sum =
-        hwSpec.gpuIdlePower.value() * hwSpec.gpusPerServer;
-    const double max_sum =
-        hwSpec.gpuMaxPower.value() * hwSpec.gpusPerServer;
-    const double heat = max_sum > idle_sum
-        ? std::clamp((gpu_total - idle_sum) / (max_sum - idle_sum),
-                     0.0, 1.0)
-        : 0.0;
-    double total = hwSpec.chassisIdlePower.value() +
-        hwSpec.chassisActivePower.value() * heat + gpu_total;
-    const double speed = 0.35 + 0.65 * heat;
-    total += hwSpec.fanMaxPower.value() * speed * speed * speed;
-    return Watts(total);
+    return serverPowerFromGpu(
+        estimateGpuPower(profile, utilization).value(),
+        profile.activeGpus);
 }
 
 Watts
@@ -393,25 +372,31 @@ PerfModel::decodeGpuPowerAt(const ConfigProfile &profile,
                  span * intensity * concentration * freq_pow);
 }
 
-Watts
-PerfModel::serverPowerFromGpu(double active_gpu_w, int active_gpus,
-                              double prefill_share) const
+double
+PerfModel::heatFraction(double active_gpu_w, int active_gpus) const
 {
-    (void)prefill_share;
-    const double idle_gpus =
-        static_cast<double>(hwSpec.gpusPerServer - active_gpus);
-    const double gpu_total = active_gpu_w * active_gpus +
-        hwSpec.gpuIdlePower.value() * idle_gpus;
+    const double gpu_total =
+        gpuTotalW(hwSpec, active_gpu_w, active_gpus);
     const double idle_sum =
         hwSpec.gpuIdlePower.value() * hwSpec.gpusPerServer;
     const double max_sum =
         hwSpec.gpuMaxPower.value() * hwSpec.gpusPerServer;
-    const double heat = max_sum > idle_sum
+    return max_sum > idle_sum
         ? std::clamp((gpu_total - idle_sum) / (max_sum - idle_sum),
                      0.0, 1.0)
         : 0.0;
+}
+
+Watts
+PerfModel::serverPowerFromGpu(double active_gpu_w,
+                              int active_gpus) const
+{
+    // Chassis components and fans track the heat the GPUs shed, not
+    // busy time: a down-clocked instance really does cool the box.
+    const double heat = heatFraction(active_gpu_w, active_gpus);
     double total = hwSpec.chassisIdlePower.value() +
-        hwSpec.chassisActivePower.value() * heat + gpu_total;
+        hwSpec.chassisActivePower.value() * heat +
+        gpuTotalW(hwSpec, active_gpu_w, active_gpus);
     const double speed = 0.35 + 0.65 * heat;
     total += hwSpec.fanMaxPower.value() * speed * speed * speed;
     return Watts(total);
@@ -421,66 +406,9 @@ PerfModel::OperatingPoint
 PerfModel::operatingPointAt(const ConfigProfile &profile,
                             double demand_tps) const
 {
-    OperatingPoint out = operatingGpuPointAt(profile, demand_tps);
-    out.serverPower = serverPowerFromGpu(
-        out.gpuPower.value(), profile.activeGpus, out.prefillShare);
-    return out;
-}
-
-PerfModel::OperatingPoint
-PerfModel::operatingGpuPointAt(const ConfigProfile &profile,
-                               double demand_tps) const
-{
+    const ConfigProfile *lane = &profile;
     OperatingPoint out;
-    const double demand = std::max(0.0, demand_tps);
-    const double fp = perfParams.mix.prefillFraction();
-    const double fd = perfParams.mix.decodeFraction();
-
-    // Prefill is bursty: busy exactly its work fraction.
-    const double u_p = std::min(
-        1.0, demand * fp / profile.prefill.throughputTps);
-
-    // Decode runs continuously whenever sequences are in flight,
-    // at whatever batch the demand sustains.
-    const double r = demand * fd; // decode tokens/s
-    const double tau1 =
-        profile.decodeWeightS + profile.decodeKvS;
-    double u_d = 0.0;
-    double batch = 0.0;
-    if (r > 0.0) {
-        const double share = std::max(0.05, 1.0 - u_p);
-        if (r * tau1 < share) {
-            // Sub-saturated even at batch 1: idles between tokens.
-            batch = 1.0;
-            u_d = r * tau1;
-        } else {
-            // Decode fills all non-prefill time; batch grows until
-            // share * B / tau(B) = r.
-            const double denom = share - profile.decodeKvS * r;
-            batch = denom > 1e-9
-                ? profile.decodeWeightS * r / denom
-                : static_cast<double>(profile.config.maxBatchSize);
-            batch = std::clamp(
-                batch, 1.0,
-                static_cast<double>(profile.config.maxBatchSize));
-            u_d = share;
-        }
-    }
-
-    out.busyFrac = std::min(1.0, u_p + u_d);
-    out.prefillShare =
-        out.busyFrac > 0.0 ? u_p / (u_p + u_d) : 0.0;
-    out.decodeBatch = batch;
-
-    const double idle = hwSpec.gpuIdlePower.value();
-    // Idle decode contributes u_d * decode_w == 0 regardless of the
-    // decode power, so skip its evaluation (and the log2 inside)
-    // when decode is not running.
-    const double decode_w =
-        u_d > 0.0 ? decodeGpuPowerAt(profile, batch).value() : 0.0;
-    const double prefill_w = profile.prefill.gpuPower.value();
-    out.gpuPower = Watts(idle * (1.0 - out.busyFrac) +
-                         u_p * prefill_w + u_d * decode_w);
+    solveOpChunk(&lane, &demand_tps, 1, &out, true);
     return out;
 }
 
@@ -515,17 +443,16 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
         act[i] = static_cast<double>(p.activeGpus);
     }
 
-    // Branch-free solve: the scalar sub-saturated/saturated decode
-    // split becomes selects over speculatively computed values. The
+    // Branch-free solve: the sub-saturated/saturated decode split
+    // becomes selects over speculatively computed values. The
     // speculative division wS*r/denom is only selected when
     // denom > 1e-9, and every lane that reaches the select keeps it
     // finite (r == 0 forces denom = share > 0), so no NaN/inf
-    // survives selection. Expression order mirrors
-    // operatingGpuPointAt term for term — the std::min/max/clamp
-    // calls are spelled as the ternaries they expand to, because
-    // their by-reference returns block the loop vectorizer — so with
-    // -ffp-contract=off every lane is bit-identical to the scalar
-    // solve.
+    // survives selection. The std::min/max/clamp calls are spelled
+    // as the ternaries they expand to, because their by-reference
+    // returns block the loop vectorizer; with -ffp-contract=off every
+    // lane is bit-identical to the scalar reference the op-batch
+    // tests keep.
     for (std::size_t i = 0; i < m; ++i) {
         const double d_raw = demand_tps[i];
         const double demand = 0.0 < d_raw ? d_raw : 0.0;
@@ -555,9 +482,10 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
         busyA[i] = busy;
         pshareA[i] = busy > 0.0 ? u_p / sum : 0.0;
         // Decode power endpoints (the two cases continuous batching
-        // actually lands on, batch <= 1 taking priority like the
-        // scalar fast path); -1 marks the rare mid-range-batch or
-        // uncached-endpoint lanes for the scalar fixup below.
+        // actually lands on, batch <= 1 taking priority like
+        // decodeGpuPowerAt's fast path); -1 marks the rare
+        // mid-range-batch or uncached-endpoint lanes for the scalar
+        // fixup below.
         double dw = (batch == maxB[i] && bMaxW[i] >= 0.0)
             ? bMaxW[i]
             : -1.0;
@@ -567,7 +495,7 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
 
     // Scalar fixup: lanes whose decode power needs the full log2
     // formula (or whose profile lacks cached endpoints) go through
-    // the very function the scalar path uses.
+    // decodeGpuPowerAt.
     for (std::size_t i = 0; i < m; ++i) {
         if (dwA[i] < 0.0)
             dwA[i] =
@@ -582,7 +510,8 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
     if (server_power) {
         // serverPowerFromGpu, element-wise, with the loop-invariant
         // spec terms hoisted (same values, same per-lane expression
-        // order as the scalar function).
+        // order as the scalar function). This is the hot loop, so it
+        // keeps its own copy; the op-batch tests pin the two equal.
         const double gps =
             static_cast<double>(hwSpec.gpusPerServer);
         const double idle_sum = idle * gps;
@@ -637,10 +566,6 @@ PerfModel::operatingPointBatch(const ConfigProfile *const *profiles,
                                std::size_t n,
                                OperatingPoint *out) const
 {
-    if (operatingPointTableEnabled()) {
-        tableOpBatch(profiles, demand_tps, n, out, true);
-        return;
-    }
     solveOpBatch(profiles, demand_tps, n, out, true);
 }
 
@@ -649,143 +574,7 @@ PerfModel::operatingGpuPointBatch(
     const ConfigProfile *const *profiles, const double *demand_tps,
     std::size_t n, OperatingPoint *out) const
 {
-    if (operatingPointTableEnabled()) {
-        tableOpBatch(profiles, demand_tps, n, out, false);
-        return;
-    }
     solveOpBatch(profiles, demand_tps, n, out, false);
-}
-
-void
-PerfModel::operatingPointBatch(const ConfigProfile *profiles,
-                               const std::uint32_t *profile_idx,
-                               const double *demand_tps,
-                               std::size_t n,
-                               OperatingPoint *out) const
-{
-    const ConfigProfile *ptrs[kOpChunk];
-    for (std::size_t base = 0; base < n; base += kOpChunk) {
-        const std::size_t m = std::min(kOpChunk, n - base);
-        for (std::size_t i = 0; i < m; ++i)
-            ptrs[i] = profiles + profile_idx[base + i];
-        if (operatingPointTableEnabled())
-            tableOpBatch(ptrs, demand_tps + base, m, out + base,
-                         true);
-        else
-            solveOpChunk(ptrs, demand_tps + base, m, out + base,
-                         true);
-    }
-}
-
-void
-PerfModel::operatingGpuPointBatch(const ConfigProfile *profiles,
-                                  const std::uint32_t *profile_idx,
-                                  const double *demand_tps,
-                                  std::size_t n,
-                                  OperatingPoint *out) const
-{
-    const ConfigProfile *ptrs[kOpChunk];
-    for (std::size_t base = 0; base < n; base += kOpChunk) {
-        const std::size_t m = std::min(kOpChunk, n - base);
-        for (std::size_t i = 0; i < m; ++i)
-            ptrs[i] = profiles + profile_idx[base + i];
-        if (operatingPointTableEnabled())
-            tableOpBatch(ptrs, demand_tps + base, m, out + base,
-                         false);
-        else
-            solveOpChunk(ptrs, demand_tps + base, m, out + base,
-                         false);
-    }
-}
-
-void
-PerfModel::enableOperatingPointTable(double demand_step_tps,
-                                     double max_demand_tps)
-{
-    tapas_assert(demand_step_tps > 0.0 &&
-                     max_demand_tps > demand_step_tps,
-                 "operating-point table needs positive step < max");
-    MutexLock lock(opTableMutex);
-    opTableStepTps = demand_step_tps;
-    opTableMaxTps = max_demand_tps;
-    opTables.clear();
-}
-
-const PerfModel::OpTableGrid *
-PerfModel::opGridFor(const ConfigProfile &profile) const
-{
-    MutexLock lock(opTableMutex);
-    auto it = opTables.find(profile.config);
-    if (it != opTables.end())
-        return it->second.get();
-    auto grid = std::make_unique<OpTableGrid>();
-    grid->stepTps = opTableStepTps;
-    // One node past the configured max so the last interpolation
-    // interval still has a right endpoint.
-    const std::size_t nodes = static_cast<std::size_t>(
-                                  opTableMaxTps / opTableStepTps) +
-        2;
-    grid->nodes.resize(nodes);
-    for (std::size_t j = 0; j < nodes; ++j) {
-        // Exact full solve at each grid node (the scalar reference
-        // path); the GPU-only entry points zero serverPower on
-        // output.
-        grid->nodes[j] = operatingPointAt(
-            profile, grid->stepTps * static_cast<double>(j));
-    }
-    // Demands at/past the last node fall back to the exact solve.
-    grid->maxDemandTps =
-        grid->stepTps * static_cast<double>(nodes - 1);
-    const OpTableGrid *out = grid.get();
-    opTables.emplace(profile.config, std::move(grid));
-    return out;
-}
-
-void
-PerfModel::tableOpBatch(const ConfigProfile *const *profiles,
-                        const double *demand_tps, std::size_t n,
-                        OperatingPoint *out, bool server_power) const
-{
-    // Consecutive lanes usually share a profile (demand-sorted
-    // sweeps, per-candidate blocks), so memoize the last grid lookup
-    // on the profile pointer before falling back to the map.
-    const ConfigProfile *last_p = nullptr;
-    const OpTableGrid *grid = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-        const ConfigProfile *p = profiles[i];
-        if (p != last_p) {
-            grid = opGridFor(*p);
-            last_p = p;
-        }
-        const double d = std::max(0.0, demand_tps[i]);
-        if (d >= grid->maxDemandTps) {
-            // Beyond the grid: exact solve — the table is a pure
-            // accelerator, never an extrapolator.
-            solveOpChunk(&p, &d, 1, &out[i], server_power);
-            continue;
-        }
-        const std::size_t j =
-            static_cast<std::size_t>(d / grid->stepTps);
-        const double t =
-            (d - grid->stepTps * static_cast<double>(j)) /
-            grid->stepTps;
-        const OperatingPoint &a = grid->nodes[j];
-        const OperatingPoint &b = grid->nodes[j + 1];
-        OperatingPoint &o = out[i];
-        o.busyFrac = a.busyFrac + t * (b.busyFrac - a.busyFrac);
-        o.prefillShare =
-            a.prefillShare + t * (b.prefillShare - a.prefillShare);
-        o.decodeBatch =
-            a.decodeBatch + t * (b.decodeBatch - a.decodeBatch);
-        o.gpuPower =
-            Watts(a.gpuPower.value() +
-                  t * (b.gpuPower.value() - a.gpuPower.value()));
-        o.serverPower = server_power
-            ? Watts(a.serverPower.value() +
-                    t * (b.serverPower.value() -
-                         a.serverPower.value()))
-            : Watts(0.0);
-    }
 }
 
 std::vector<ConfigProfile>

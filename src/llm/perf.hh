@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -238,62 +237,26 @@ class PerfModel
     };
 
     /**
-     * Evaluate the operating point at a token demand (tokens/s).
-     *
-     * scalar-op-solve-deprecated: the per-call solves below survive
-     * for tests, cold paths (configurator fallback/hysteresis), and
-     * debug cross-checks only. Decision hot loops (flow-mode load
-     * assignment, the configurator candidate walk) must go through
-     * the batched passes further down, which gather the profile
-     * scalars once per lane and run the solve body branch-free over
-     * packed spans. The batched passes evaluate the exact same
-     * expressions element-wise, so results are bit-identical to
-     * these scalar calls (pinned by tests/llm/test_perf_op_batch.cc).
+     * Evaluate the operating point at a token demand (tokens/s): a
+     * one-lane call of the batched solve below, for cold paths
+     * (configurator fallback/hysteresis) and tests. Hot loops batch.
      */
     OperatingPoint operatingPointAt(const ConfigProfile &profile,
                                     double demand_tps) const;
-
-    /**
-     * Same solve without the whole-server power term (left at 0):
-     * for callers that only need utilization and GPU power.
-     * scalar-op-solve-deprecated — see operatingPointAt.
-     */
-    OperatingPoint operatingGpuPointAt(const ConfigProfile &profile,
-                                       double demand_tps) const;
 
     // ------------------------------------------------------------
     // Batched operating-point solver (the hot-loop entry points).
     //
     // Packed spans of (profile, demand_tps) in, caller-owned
-    // OperatingPoint spans out. The solve body is restructured
-    // branch-free (the sub-saturated/saturated decode split becomes
-    // select/clamp arithmetic over chunked stride-1 arrays) so the
-    // autovectorizer gets through; only the rare mid-range decode
-    // batch falls back to the scalar power formula per lane.
-    // Results are bit-identical to the scalar solves above in the
-    // default FP mode (-ffp-contract=off pins this even under
-    // -march=native).
-    //
-    // When the optional operating-point table is enabled (see
-    // enableOperatingPointTable), these entry points answer from the
-    // precomputed (config, quantized-demand) grid with linear
-    // interpolation instead of the exact solve; the scalar calls
-    // above always stay exact.
+    // OperatingPoint spans out. The solve body is branch-free (the
+    // sub-saturated/saturated decode split becomes select/clamp
+    // arithmetic over chunked stride-1 arrays) so the autovectorizer
+    // gets through; only the rare mid-range decode batch falls back
+    // to decodeGpuPowerAt per lane. It is the only operating-point
+    // solve; tests/llm/test_perf_op_batch.cc pins it bit for bit
+    // against an independent scalar reference (-ffp-contract=off
+    // keeps that true even under -march=native).
     // ------------------------------------------------------------
-
-    /** Batched full solve over packed (profile-index, demand)
-     *  lanes; profile_idx indexes into the packed profiles span. */
-    void operatingPointBatch(const ConfigProfile *profiles,
-                             const std::uint32_t *profile_idx,
-                             const double *demand_tps, std::size_t n,
-                             OperatingPoint *out) const;
-
-    /** Batched GPU-only solve (serverPower left 0), index lanes. */
-    void operatingGpuPointBatch(const ConfigProfile *profiles,
-                                const std::uint32_t *profile_idx,
-                                const double *demand_tps,
-                                std::size_t n,
-                                OperatingPoint *out) const;
 
     /** Batched full solve over per-lane profile pointers (callers
      *  holding heterogeneous profile refs, e.g. per-VM engines). */
@@ -301,36 +264,27 @@ class PerfModel
                              const double *demand_tps, std::size_t n,
                              OperatingPoint *out) const;
 
-    /** Batched GPU-only solve over per-lane profile pointers. */
+    /** Batched GPU-only solve (serverPower left 0): for callers that
+     *  only need utilization and GPU power. */
     void operatingGpuPointBatch(const ConfigProfile *const *profiles,
                                 const double *demand_tps,
                                 std::size_t n,
                                 OperatingPoint *out) const;
 
-    /**
-     * Enable the precomputed (config, quantized-demand) →
-     * operating-point table consulted by the batch entry points:
-     * per-config demand grids at @p demand_step_tps spacing over
-     * [0, max_demand_tps], built lazily per config and answered with
-     * linear interpolation. Demands at/beyond the grid end fall back
-     * to the exact solve, as do the scalar entry points. Off by
-     * default (SimConfig::opTableEnabled gates it in simulations);
-     * tests A/B-gate it against the exact batched path.
-     */
-    void enableOperatingPointTable(double demand_step_tps,
-                                   double max_demand_tps);
-
-    /** Whether the interpolated operating-point table is active. */
-    bool operatingPointTableEnabled() const
-    { return opTableStepTps > 0.0; }
-
     /** Decode per-GPU power at an arbitrary running batch size. */
     Watts decodeGpuPowerAt(const ConfigProfile &profile,
                            double batch) const;
 
+    /**
+     * Normalized server heat in [0, 1]: total GPU draw (inactive
+     * GPUs idle) between the all-idle and all-max sums. Chassis and
+     * fan power track it, and the airflow models are fitted on it.
+     */
+    double heatFraction(double active_gpu_w, int active_gpus) const;
+
     /** Whole-server power from GPU draw (chassis + fans on heat). */
-    Watts serverPowerFromGpu(double active_gpu_w, int active_gpus,
-                             double prefill_share) const;
+    Watts serverPowerFromGpu(double active_gpu_w,
+                             int active_gpus) const;
 
     /**
      * Pareto frontier over (goodput up, metric down). @p use_power
@@ -360,35 +314,16 @@ class PerfModel
 
     /**
      * One chunk (<= kOpChunk lanes) of the branch-free batched
-     * operating-point solve; the shared kernel behind all four batch
-     * entry points. @p server_power selects the full solve (inlined
+     * operating-point solve; the kernel behind every operating-point
+     * entry point. @p server_power selects the full solve (inlined
      * serverPowerFromGpu arithmetic) versus the GPU-only variant.
      */
     void solveOpChunk(const ConfigProfile *const *profiles,
                       const double *demand_tps, std::size_t m,
                       OperatingPoint *out, bool server_power) const;
 
-    /** Chunked dispatch over pointer lanes (exact path). */
+    /** Chunked dispatch of solveOpChunk over n lanes. */
     void solveOpBatch(const ConfigProfile *const *profiles,
-                      const double *demand_tps, std::size_t n,
-                      OperatingPoint *out, bool server_power) const;
-
-    /** Per-config demand grid of the interpolated table. */
-    struct OpTableGrid
-    {
-        double stepTps = 0.0;
-        double maxDemandTps = 0.0;
-        /** Exact operating points at demand j * stepTps (full solve
-         *  including serverPower; the GPU-only entry points zero it
-         *  on output). */
-        std::vector<OperatingPoint> nodes;
-    };
-
-    /** Lazily built grid for one config (locks opTableMutex). */
-    const OpTableGrid *opGridFor(const ConfigProfile &profile) const;
-
-    /** Table-mode batch answer (falls back to exact past the grid). */
-    void tableOpBatch(const ConfigProfile *const *profiles,
                       const double *demand_tps, std::size_t n,
                       OperatingPoint *out, bool server_power) const;
 
@@ -399,23 +334,6 @@ class PerfModel
     mutable std::uint64_t cacheHits TAPAS_GUARDED_BY(cacheMutex) = 0;
     mutable std::uint64_t cacheMisses TAPAS_GUARDED_BY(cacheMutex) =
         0;
-
-    /**
-     * Interpolated-table state; stepTps <= 0 means disabled. The
-     * step/max scalars are configure-time constants (set by
-     * enableOperatingPointTable before the model is shared across
-     * threads) read locklessly by the batch hot paths; only the
-     * lazily grown grid map needs the mutex. Grids are immutable
-     * once inserted and unique_ptr-stable, so the pointer opGridFor
-     * returns stays valid after the lock drops.
-     */
-    double opTableStepTps = 0.0;
-    double opTableMaxTps = 0.0;
-    mutable Mutex opTableMutex;
-    mutable std::unordered_map<InstanceConfig,
-                               std::unique_ptr<OpTableGrid>,
-                               InstanceConfigHash>
-        opTables TAPAS_GUARDED_BY(opTableMutex);
 };
 
 /** The reference configuration the paper's SLOs anchor on. */

@@ -237,8 +237,6 @@ ClusterSim::configDigest() const
     f64(cfg.endpointPeakUtil);
     f64(cfg.demandPeakHour);
     f64(cfg.demandNoiseSigma);
-    u64(static_cast<std::uint64_t>(cfg.opTableEnabled));
-    f64(cfg.opTableStepTps);
     f64(cfg.inletLimitC);
     i64(cfg.profileRefitPeriod);
     u64(cfg.failures.size());

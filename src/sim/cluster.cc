@@ -98,17 +98,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
     refProfile = perf.profile(referenceConfig());
     refGoodput = refProfile.goodputTps;
 
-    if (cfg.opTableEnabled) {
-        const double step = cfg.opTableStepTps > 0.0
-            ? cfg.opTableStepTps
-            : refGoodput / 256.0;
-        // The reference config has the largest goodput and flow
-        // routing caps per-VM demand at 1.2x goodput, so 2x the
-        // reference covers every profile's reachable demand; rarer
-        // demands past the grid fall back to the exact solve.
-        perf.enableOperatingPointTable(step, refGoodput * 2.0);
-    }
-
     tapas = std::make_unique<TapasController>(
         cfg.policy, layout, cooling, hierarchy, &bank, &perf);
     failureMgr =

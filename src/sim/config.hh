@@ -66,6 +66,9 @@ struct SimConfig
      */
     SimTime telemetryRetention = 0;
 
+    /** Peak demand as a fraction of fleet goodput (production LLM
+     *  fleets provision for spikes; typical peaks sit well below
+     *  capacity). */
     double endpointPeakUtil = 0.45;
 
     /**
@@ -77,23 +80,6 @@ struct SimConfig
 
     /** Lognormal sigma of per-endpoint 5-minute demand spikes. */
     double demandNoiseSigma = 0.18;
-
-    /**
-     * Answer the hot-loop operating-point queries from a precomputed
-     * (config, quantized-demand) interpolation table instead of the
-     * exact batched solve. Off by default — the exact solve is the
-     * reference; tests/sim/test_integration.cc A/B-gates the table
-     * against it on a scenario suite before it is worth flipping on
-     * for what-if sweeps.
-     */
-    bool opTableEnabled = false;
-    /** Demand grid spacing of the table, tokens/s; 0 = auto
-     *  (reference goodput / 256). */
-    double opTableStepTps = 0.0;
-
-    /** Peak demand as a fraction of fleet goodput (production LLM
-     *  fleets provision for spikes; typical peaks sit well below
-     *  capacity). */
 
     /** Scheduled failures. Legacy shorthand: each event is fed to
      *  the FaultEngine as a scripted fault (thermal = every aisle's

@@ -1,17 +1,17 @@
 /**
  * @file
- * Equivalence suite for the batched operating-point solver: the
- * branch-free batch entry points must reproduce the scalar solves
- * bit for bit across every configuration profile and every demand
- * regime (zero, sub-saturated, saturated, clamped-batch), in the
- * default FP mode (-ffp-contract=off pins per-operation IEEE
- * semantics even under -march=native). The interpolated table mode
- * is A/B-checked against the exact path with explicit error bounds.
+ * Equivalence suite for the operating-point solver: the branch-free
+ * batch kernel behind every PerfModel entry point (the batch calls
+ * and the one-lane operatingPointAt) must reproduce the scalar
+ * reference solve below bit for bit across every configuration
+ * profile and every demand regime (zero, sub-saturated, saturated,
+ * clamped-batch), in the default FP mode (-ffp-contract=off pins
+ * per-operation IEEE semantics even under -march=native).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <algorithm>
 #include <vector>
 
 #include "llm/perf.hh"
@@ -24,6 +24,68 @@ makeModel()
 {
     return PerfModel::withReferenceSlo(
         ServerSpec::a100(), PerfParams::forSku(GpuSku::A100));
+}
+
+/**
+ * Independent scalar reference of the operating-point solve, written
+ * with plain branches: decode runs continuously whenever sequences
+ * are in flight, either sub-saturated at batch 1 or filling all
+ * non-prefill time at the batch the demand sustains. With
+ * @p server_power false, serverPower stays 0 (the GPU-only solve).
+ */
+PerfModel::OperatingPoint
+referenceOp(const PerfModel &model, const ConfigProfile &profile,
+            double demand_tps, bool server_power = true)
+{
+    PerfModel::OperatingPoint out;
+    const double demand = std::max(0.0, demand_tps);
+    const double fp = model.params().mix.prefillFraction();
+    const double fd = model.params().mix.decodeFraction();
+
+    // Prefill is bursty: busy exactly its work fraction.
+    const double u_p = std::min(
+        1.0, demand * fp / profile.prefill.throughputTps);
+
+    const double r = demand * fd; // decode tokens/s
+    const double tau1 = profile.decodeWeightS + profile.decodeKvS;
+    double u_d = 0.0;
+    double batch = 0.0;
+    if (r > 0.0) {
+        const double share = std::max(0.05, 1.0 - u_p);
+        if (r * tau1 < share) {
+            // Sub-saturated even at batch 1: idles between tokens.
+            batch = 1.0;
+            u_d = r * tau1;
+        } else {
+            // Batch grows until share * B / tau(B) = r.
+            const double denom = share - profile.decodeKvS * r;
+            batch = denom > 1e-9
+                ? profile.decodeWeightS * r / denom
+                : static_cast<double>(profile.config.maxBatchSize);
+            batch = std::clamp(
+                batch, 1.0,
+                static_cast<double>(profile.config.maxBatchSize));
+            u_d = share;
+        }
+    }
+
+    out.busyFrac = std::min(1.0, u_p + u_d);
+    out.prefillShare =
+        out.busyFrac > 0.0 ? u_p / (u_p + u_d) : 0.0;
+    out.decodeBatch = batch;
+
+    const double idle = model.spec().gpuIdlePower.value();
+    const double decode_w = u_d > 0.0
+        ? model.decodeGpuPowerAt(profile, batch).value()
+        : 0.0;
+    const double prefill_w = profile.prefill.gpuPower.value();
+    out.gpuPower = Watts(idle * (1.0 - out.busyFrac) +
+                         u_p * prefill_w + u_d * decode_w);
+    if (server_power) {
+        out.serverPower = model.serverPowerFromGpu(
+            out.gpuPower.value(), profile.activeGpus);
+    }
+    return out;
 }
 
 /**
@@ -47,18 +109,17 @@ demandGridFor(const ConfigProfile &p)
 }
 
 void
-expectPointsIdentical(const PerfModel::OperatingPoint &batch,
-                      const PerfModel::OperatingPoint &scalar,
+expectPointsIdentical(const PerfModel::OperatingPoint &got,
+                      const PerfModel::OperatingPoint &ref,
                       const ConfigProfile &p, double demand)
 {
     const std::string at =
         p.config.label() + " @ " + std::to_string(demand);
-    EXPECT_EQ(batch.busyFrac, scalar.busyFrac) << at;
-    EXPECT_EQ(batch.prefillShare, scalar.prefillShare) << at;
-    EXPECT_EQ(batch.decodeBatch, scalar.decodeBatch) << at;
-    EXPECT_EQ(batch.gpuPower.value(), scalar.gpuPower.value()) << at;
-    EXPECT_EQ(batch.serverPower.value(), scalar.serverPower.value())
-        << at;
+    EXPECT_EQ(got.busyFrac, ref.busyFrac) << at;
+    EXPECT_EQ(got.prefillShare, ref.prefillShare) << at;
+    EXPECT_EQ(got.decodeBatch, ref.decodeBatch) << at;
+    EXPECT_EQ(got.gpuPower.value(), ref.gpuPower.value()) << at;
+    EXPECT_EQ(got.serverPower.value(), ref.serverPower.value()) << at;
 }
 
 TEST(PerfOpBatch, PointerLanesBitIdenticalToScalarAllProfiles)
@@ -77,17 +138,18 @@ TEST(PerfOpBatch, PointerLanesBitIdenticalToScalarAllProfiles)
         model.operatingGpuPointBatch(lanes.data(), demands.data(),
                                      demands.size(), gpu.data());
         for (std::size_t i = 0; i < demands.size(); ++i) {
+            const double d = demands[i];
+            expectPointsIdentical(full[i], referenceOp(model, p, d), p,
+                                  d);
             expectPointsIdentical(
-                full[i], model.operatingPointAt(p, demands[i]), p,
-                demands[i]);
-            expectPointsIdentical(
-                gpu[i], model.operatingGpuPointAt(p, demands[i]), p,
-                demands[i]);
+                gpu[i], referenceOp(model, p, d, false), p, d);
+            expectPointsIdentical(model.operatingPointAt(p, d),
+                                  referenceOp(model, p, d), p, d);
         }
     }
 }
 
-TEST(PerfOpBatch, IndexLanesHeterogeneousProfilesBitIdentical)
+TEST(PerfOpBatch, PointerLanesHeterogeneousProfilesBitIdentical)
 {
     const PerfModel model = makeModel();
     const std::vector<ConfigProfile> profiles = model.allProfiles();
@@ -95,33 +157,30 @@ TEST(PerfOpBatch, IndexLanesHeterogeneousProfilesBitIdentical)
 
     // Interleave every profile against a shared demand grid so one
     // batch call mixes regimes and configs across its chunks.
-    std::vector<std::uint32_t> idx;
+    std::vector<const ConfigProfile *> lanes;
     std::vector<double> demands;
     const std::vector<double> shared =
         demandGridFor(profiles.front());
     for (std::size_t d = 0; d < shared.size(); ++d) {
-        for (std::uint32_t pi = 0; pi < profiles.size(); ++pi) {
-            idx.push_back(pi);
-            demands.push_back(shared[d] * (1.0 + 0.013 * pi));
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+            lanes.push_back(&profiles[pi]);
+            demands.push_back(shared[d] *
+                              (1.0 + 0.013 * static_cast<double>(pi)));
         }
     }
 
-    std::vector<PerfModel::OperatingPoint> full(idx.size());
-    std::vector<PerfModel::OperatingPoint> gpu(idx.size());
-    model.operatingPointBatch(profiles.data(), idx.data(),
-                              demands.data(), idx.size(),
-                              full.data());
-    model.operatingGpuPointBatch(profiles.data(), idx.data(),
-                                 demands.data(), idx.size(),
-                                 gpu.data());
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-        const ConfigProfile &p = profiles[idx[i]];
-        expectPointsIdentical(
-            full[i], model.operatingPointAt(p, demands[i]), p,
-            demands[i]);
-        expectPointsIdentical(
-            gpu[i], model.operatingGpuPointAt(p, demands[i]), p,
-            demands[i]);
+    std::vector<PerfModel::OperatingPoint> full(lanes.size());
+    std::vector<PerfModel::OperatingPoint> gpu(lanes.size());
+    model.operatingPointBatch(lanes.data(), demands.data(),
+                              lanes.size(), full.data());
+    model.operatingGpuPointBatch(lanes.data(), demands.data(),
+                                 lanes.size(), gpu.data());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const ConfigProfile &p = *lanes[i];
+        const double d = demands[i];
+        expectPointsIdentical(full[i], referenceOp(model, p, d), p, d);
+        expectPointsIdentical(gpu[i], referenceOp(model, p, d, false),
+                              p, d);
     }
 }
 
@@ -130,7 +189,7 @@ TEST(PerfOpBatch, UncachedDecodeEndpointsFallBackIdentically)
     const PerfModel model = makeModel();
     // Strip the precomputed decode-power endpoints: the batch kernel
     // must route those lanes through the same full formula the
-    // scalar path uses.
+    // reference uses.
     ConfigProfile p = model.profile(referenceConfig());
     p.decodePowerBatch1W = -1.0;
     p.decodePowerBatchMaxW = -1.0;
@@ -141,9 +200,12 @@ TEST(PerfOpBatch, UncachedDecodeEndpointsFallBackIdentically)
     model.operatingPointBatch(lanes.data(), demands.data(),
                               demands.size(), full.data());
     for (std::size_t i = 0; i < demands.size(); ++i) {
-        expectPointsIdentical(
-            full[i], model.operatingPointAt(p, demands[i]), p,
-            demands[i]);
+        expectPointsIdentical(full[i],
+                              referenceOp(model, p, demands[i]), p,
+                              demands[i]);
+        expectPointsIdentical(model.operatingPointAt(p, demands[i]),
+                              referenceOp(model, p, demands[i]), p,
+                              demands[i]);
     }
 }
 
@@ -166,97 +228,11 @@ TEST(PerfOpBatch, ChunkBoundariesCoverEveryResidue)
         model.operatingPointBatch(lanes.data(), demands.data(), n,
                                   out.data());
         for (std::size_t i = 0; i < n; ++i) {
-            expectPointsIdentical(
-                out[i], model.operatingPointAt(p, demands[i]), p,
-                demands[i]);
+            expectPointsIdentical(out[i],
+                                  referenceOp(model, p, demands[i]),
+                                  p, demands[i]);
         }
     }
-}
-
-TEST(PerfOpBatch, TableDisabledByDefault)
-{
-    const PerfModel model = makeModel();
-    EXPECT_FALSE(model.operatingPointTableEnabled());
-}
-
-TEST(PerfOpBatch, TableInterpolationWithinErrorBounds)
-{
-    PerfModel exact = makeModel();
-    PerfModel tabled = makeModel();
-    const ConfigProfile ref = exact.profile(referenceConfig());
-    const double step = ref.goodputTps / 256.0;
-    tabled.enableOperatingPointTable(step, ref.goodputTps * 2.0);
-    ASSERT_TRUE(tabled.operatingPointTableEnabled());
-
-    const std::vector<ConfigProfile> profiles = exact.allProfiles();
-    for (const ConfigProfile &p : profiles) {
-        // Off-node demands across the grid (worst case for linear
-        // interpolation sits mid-interval).
-        for (int k = 0; k < 64; ++k) {
-            const double demand =
-                step * (0.5 + 7.0 * static_cast<double>(k));
-            const ConfigProfile *lane = &p;
-            PerfModel::OperatingPoint t_op;
-            tabled.operatingPointBatch(&lane, &demand, 1, &t_op);
-            const PerfModel::OperatingPoint e_op =
-                exact.operatingPointAt(p, demand);
-            // The solve is piecewise-smooth in demand with one kink
-            // (the saturation boundary). The step is shared across
-            // configs (sized off the reference goodput), so for the
-            // slowest profiles the kink can land mid-interval and
-            // busy time absorbs the largest relative error — bounded
-            // at 3% absolute here; power stays within 2%.
-            EXPECT_NEAR(t_op.busyFrac, e_op.busyFrac, 0.03)
-                << p.config.label() << " @ " << demand;
-            EXPECT_NEAR(t_op.gpuPower.value(), e_op.gpuPower.value(),
-                        0.02 * ServerSpec::a100().gpuMaxPower.value())
-                << p.config.label() << " @ " << demand;
-            EXPECT_NEAR(
-                t_op.serverPower.value(), e_op.serverPower.value(),
-                0.02 * e_op.serverPower.value())
-                << p.config.label() << " @ " << demand;
-        }
-    }
-}
-
-TEST(PerfOpBatch, TableExactAtNodesAndPastGridEnd)
-{
-    PerfModel tabled = makeModel();
-    const ConfigProfile ref = tabled.profile(referenceConfig());
-    const double step = ref.goodputTps / 64.0;
-    tabled.enableOperatingPointTable(step, ref.goodputTps);
-
-    PerfModel exact = makeModel();
-    // On-node demands interpolate with t = 0: exactly the node
-    // value, which is the exact solve there.
-    for (int j = 0; j < 8; ++j) {
-        const double demand = step * static_cast<double>(j * 3);
-        const ConfigProfile *lane = &ref;
-        PerfModel::OperatingPoint t_op;
-        tabled.operatingPointBatch(&lane, &demand, 1, &t_op);
-        expectPointsIdentical(
-            t_op, exact.operatingPointAt(ref, demand), ref, demand);
-    }
-    // Demands past the grid fall back to the exact batched solve.
-    const double beyond = ref.goodputTps * 5.0;
-    const ConfigProfile *lane = &ref;
-    PerfModel::OperatingPoint t_op;
-    tabled.operatingPointBatch(&lane, &beyond, 1, &t_op);
-    expectPointsIdentical(
-        t_op, exact.operatingPointAt(ref, beyond), ref, beyond);
-}
-
-TEST(PerfOpBatch, CopiedModelKeepsTableMode)
-{
-    PerfModel tabled = makeModel();
-    const ConfigProfile ref = tabled.profile(referenceConfig());
-    tabled.enableOperatingPointTable(ref.goodputTps / 64.0,
-                                     ref.goodputTps);
-    const PerfModel copy(tabled);
-    EXPECT_TRUE(copy.operatingPointTableEnabled());
-    PerfModel assigned = makeModel();
-    assigned = tabled;
-    EXPECT_TRUE(assigned.operatingPointTableEnabled());
 }
 
 } // namespace

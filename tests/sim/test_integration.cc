@@ -277,46 +277,6 @@ TEST(SimIntegration, MixSensitivityAllIaasStillImproves)
               baseline.metrics().peakRowPowerFrac.mean() * 1.02);
 }
 
-TEST(SimIntegration, OpTableABGateOnScenarioSuite)
-{
-    // A/B gate for SimConfig::opTableEnabled: the interpolated
-    // operating-point table must reproduce the exact-solve results
-    // on an 8-scenario suite (4 seeds x baseline/TAPAS) before it is
-    // worth flipping on for what-if sweeps. Interpolation error can
-    // tip discrete controller decisions, so the gate bounds
-    // end-of-run aggregates, not per-step state.
-    for (const std::uint64_t seed : {51u, 53u, 57u, 59u}) {
-        for (const bool tapas_on : {false, true}) {
-            SimConfig cfg = tapas_on
-                ? smallTestScenario(seed).asTapas()
-                : smallTestScenario(seed).asBaseline();
-            ClusterSim exact(cfg);
-            exact.run();
-            cfg.opTableEnabled = true;
-            ClusterSim tabled(cfg);
-            tabled.run();
-
-            const std::string at = "seed=" + std::to_string(seed) +
-                (tapas_on ? " tapas" : " baseline");
-            const SimMetrics &e = exact.metrics();
-            const SimMetrics &t = tabled.metrics();
-            EXPECT_EQ(t.totalSteps, e.totalSteps) << at;
-            EXPECT_NEAR(t.totalTokens, e.totalTokens,
-                        0.02 * e.totalTokens) << at;
-            EXPECT_NEAR(t.saasServedTps.mean(),
-                        e.saasServedTps.mean(),
-                        0.02 * e.saasServedTps.mean()) << at;
-            EXPECT_NEAR(t.maxGpuTempC.maxValue(),
-                        e.maxGpuTempC.maxValue(), 2.0) << at;
-            EXPECT_NEAR(t.peakRowPowerFrac.maxValue(),
-                        e.peakRowPowerFrac.maxValue(), 0.03) << at;
-            EXPECT_NEAR(t.datacenterPowerW.mean(),
-                        e.datacenterPowerW.mean(),
-                        0.02 * e.datacenterPowerW.mean()) << at;
-        }
-    }
-}
-
 TEST(SimIntegration, WeekLongFlowRunIsStable)
 {
     SimConfig cfg = smallTestScenario(35).asTapas();
