@@ -2,15 +2,16 @@
  * @file
  * Microbenchmarks (google-benchmark) for the TAPAS decision
  * components: placement, routing, risk refresh, configuration
- * choice, and the ground-truth model evaluations. These bound the
- * control-plane overheads the paper's Section 4.5 claims are
- * lightweight.
+ * choice, Zipf sampling, and the ground-truth model evaluations.
+ * These bound the control-plane overheads the paper's Section 4.5
+ * claims are lightweight.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "common/random.hh"
 #include "core/allocator.hh"
 #include "core/configurator.hh"
 #include "core/risk.hh"
@@ -134,11 +135,28 @@ BM_RouterDecision(benchmark::State &state)
         w.perf.profile(referenceConfig());
     std::vector<std::unique_ptr<InferenceEngine>> engines;
     std::vector<RouteCandidate> candidates;
+    // Mid-step routing state: every request of the step is enqueued
+    // before any engine steps, so each candidate holds an active
+    // prefill plus a ~100-deep queue.
+    Request queued;
+    queued.outputTokens = 128;
     for (std::uint32_t i = 0; i < 50; ++i) {
         engines.push_back(std::make_unique<InferenceEngine>(
             profile, w.perf.slo()));
-        candidates.push_back(
-            {VmId(i), ServerId(i * 2), engines.back().get()});
+        InferenceEngine &engine = *engines.back();
+        const std::uint32_t depth = 90 + (i * 7) % 21;
+        for (std::uint32_t q = 0; q <= depth; ++q) {
+            queued.id = RequestId(i * 1000 + q);
+            queued.promptTokens = 128 + static_cast<int>(
+                (queued.id.index * 7919u) % 769u);
+            engine.enqueue(queued);
+            // Start the first prefill and leave it a third done.
+            if (q == 0) {
+                engine.step(0.0, 0.3 * queued.promptTokens /
+                                     profile.prefill.throughputTps);
+            }
+        }
+        candidates.push_back({VmId(i), ServerId(i * 2), &engine});
     }
     Request request;
     request.customer = CustomerId(7);
@@ -150,6 +168,17 @@ BM_RouterDecision(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RouterDecision);
+
+void
+BM_ZipfSample(benchmark::State &state)
+{
+    // Customer pick of the request generator's default endpoint.
+    const ZipfSampler zipf(50, 1.1);
+    Rng rng(11);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(zipf.sample(rng));
+}
+BENCHMARK(BM_ZipfSample);
 
 void
 BM_ConfiguratorChoice(benchmark::State &state)

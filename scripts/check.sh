@@ -74,9 +74,10 @@ scripts/crash_drill.sh build
 
 echo "== perfbench self-test + default-seed digests (Release) =="
 # Builds the perfbench harness into .bench_build/ and runs every
-# BENCHMARK.json workload briefly at its default seed; fails unless
-# each reports correct=true, i.e. the final stateDigest still matches
-# its pin in perfbench/expected.json (scripts/perfbench_gate.sh).
+# BENCHMARK.json workload briefly at its default seed, plus
+# request_hour at the hold-out seed 2718; fails unless each reports
+# correct=true, i.e. the final stateDigest still matches its pin in
+# perfbench/expected.json (scripts/perfbench_gate.sh).
 scripts/perfbench_gate.sh
 
 echo "== configure (Debug) =="

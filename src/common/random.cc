@@ -270,22 +270,6 @@ Rng::weightedIndex(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-int
-Rng::zipf(int n, double s)
-{
-    tapas_assert(n >= 1, "zipf needs at least one rank");
-    double norm = 0.0;
-    for (int k = 1; k <= n; ++k)
-        norm += 1.0 / std::pow(k, s);
-    double pick = uniform() * norm;
-    for (int k = 1; k <= n; ++k) {
-        pick -= 1.0 / std::pow(k, s);
-        if (pick < 0.0)
-            return k;
-    }
-    return n;
-}
-
 Rng
 Rng::fork(std::uint64_t stream_id)
 {
@@ -299,6 +283,28 @@ Rng::checkpointState(Archive &ar)
         ar.value(word);
     ar.value(cachedGaussian);
     ar.value(hasCachedGaussian);
+}
+
+ZipfSampler::ZipfSampler(int n, double s)
+{
+    tapas_assert(n >= 1, "zipf needs at least one rank");
+    weights.reserve(static_cast<std::size_t>(n));
+    for (int k = 1; k <= n; ++k) {
+        weights.push_back(1.0 / std::pow(k, s));
+        norm += weights.back();
+    }
+}
+
+int
+ZipfSampler::sample(Rng &rng) const
+{
+    double pick = rng.uniform() * norm;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        pick -= weights[i];
+        if (pick < 0.0)
+            return static_cast<int>(i) + 1;
+    }
+    return static_cast<int>(weights.size());
 }
 
 } // namespace tapas

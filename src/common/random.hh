@@ -87,13 +87,6 @@ class Rng
      */
     std::size_t weightedIndex(const std::vector<double> &weights);
 
-    /**
-     * Zipf-distributed integer in [1, n] with exponent s, via
-     * inversion on the precomputed CDF (caller should reuse via
-     * ZipfSampler for hot paths; this is the convenience form).
-     */
-    int zipf(int n, double s);
-
     /** Derive an independent generator for a sub-component. */
     Rng fork(std::uint64_t stream_id);
 
@@ -104,6 +97,25 @@ class Rng
     std::uint64_t s[4];
     double cachedGaussian = 0.0;
     bool hasCachedGaussian = false;
+};
+
+/**
+ * Zipf-distributed ranks in [1, n] with exponent s, by inversion.
+ * The weights 1/k^s and their left-fold sum are computed once; each
+ * sample() draws one uniform() and subtracts weights in rank order
+ * until the pick goes negative.
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(int n, double s);
+
+    /** One rank in [1, n]; consumes exactly one Rng::uniform(). */
+    int sample(Rng &rng) const;
+
+  private:
+    std::vector<double> weights;
+    double norm = 0.0;
 };
 
 } // namespace tapas

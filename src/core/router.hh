@@ -55,13 +55,9 @@ class RequestRouter
      * Stateless policies keep the default no-op.
      */
     virtual void checkpointState(Archive &) {}
-
-  protected:
-    /** Load-balancing horizon for engine load estimates, seconds. */
-    static constexpr double kLoadHorizonS = 30.0;
 };
 
-/** Least-outstanding-load routing, risk-oblivious. */
+/** Least-estimated-TTFT routing, risk-oblivious. */
 class BaselineRouter : public RequestRouter
 {
   public:

@@ -37,6 +37,8 @@ InferenceEngine::enqueue(const Request &request)
     item.prefillRemaining = request.promptTokens;
     item.decodeRemaining = std::max(0, request.outputTokens - 1);
     queue.push_back(item);
+    // Extends the backlog fold by one term: bit-identical to a refold.
+    pendingPrefill += item.prefillRemaining;
     ++engineStats.enqueued;
 }
 
@@ -269,44 +271,25 @@ InferenceEngine::step(double from_s, double to_s)
     lastBatch = decode_time > 0.0
         ? decode_batch_time / decode_time
         : 0.0;
+    // Admission and prefill progress only happen inside step().
+    refoldPendingPrefill();
+}
+
+void
+InferenceEngine::refoldPendingPrefill()
+{
+    pendingPrefill = activePrefillRemaining();
+    for (const Active &item : queue)
+        pendingPrefill += item.prefillRemaining;
 }
 
 double
 InferenceEngine::estimatedTtftS() const
 {
-    double pending = prefillActive ? prefillSlot.prefillRemaining
-                                   : 0.0;
-    for (const Active &item : queue)
-        pending += item.prefillRemaining;
     // Conservative: assume decode keeps its share of the GPU.
     const double rate = kPrefillShare * hwThrottle *
         activeProfile.prefill.throughputTps;
-    return rate > 0.0 ? pending / rate : 1e9;
-}
-
-double
-InferenceEngine::loadFraction(double horizon_s) const
-{
-    tapas_assert(horizon_s > 0.0, "horizon must be positive");
-    double prefill_tokens = 0.0;
-    double decode_tokens = 0.0;
-    auto count = [&](const Active &item) {
-        prefill_tokens += std::max(0.0, item.prefillRemaining);
-        decode_tokens += std::max(0.0, item.decodeRemaining);
-    };
-    for (const Active &item : queue)
-        count(item);
-    for (const Active &item : running)
-        count(item);
-    if (prefillActive)
-        count(prefillSlot);
-
-    const double prefill_s =
-        prefill_tokens / activeProfile.prefill.throughputTps;
-    const double decode_s = decode_tokens > 0.0
-        ? decode_tokens / activeProfile.decode.throughputTps
-        : 0.0;
-    return (prefill_s + decode_s) / horizon_s;
+    return rate > 0.0 ? pendingPrefill / rate : 1e9;
 }
 
 namespace {
@@ -420,6 +403,8 @@ InferenceEngine::checkpointState(Archive &ar)
     ar.value(lastPrefill);
     ar.value(lastBatch);
     ar.value(hwThrottle);
+    if (!ar.writing())
+        refoldPendingPrefill();
 }
 
 } // namespace tapas

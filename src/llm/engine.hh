@@ -113,17 +113,15 @@ class InferenceEngine
     /** Cumulative statistics. */
     const EngineStats &stats() const { return engineStats; }
 
-    /**
-     * Estimated sustainable load fraction: outstanding token demand
-     * versus capacity over a horizon. Used by routers for
-     * least-loaded decisions.
-     */
-    double loadFraction(double horizon_s) const;
+    /** Prefill tokens left on the request now prefilling (0 if none). */
+    double activePrefillRemaining() const
+    { return prefillActive ? prefillSlot.prefillRemaining : 0.0; }
 
     /**
      * Estimated TTFT a request routed now would see: the pending
      * prefill backlog divided by the prefill rate available while
-     * decode work shares the GPU. The router's load signal.
+     * decode work shares the GPU. The router's load signal; O(1),
+     * read from the cached backlog fold.
      */
     double estimatedTtftS() const;
 
@@ -164,8 +162,13 @@ class InferenceEngine
     double lastPrefill = 0.0;
     double lastBatch = 0.0;
     double hwThrottle = 1.0;
+    // ckpt-skip(derived): the slot's then each queued item's
+    // prefillRemaining, summed in that order; enqueue() appends a
+    // term, step() and a restore refold it
+    double pendingPrefill = 0.0;
 
     void admit(double now);
+    void refoldPendingPrefill();
     void finish(Active &item, double now);
     double decodeRate() const;
     void maybeStartBlackout(double now);

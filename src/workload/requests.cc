@@ -55,6 +55,11 @@ RequestGenerator::RequestGenerator(
             lengthDist.outputLogMean, lengthDist.outputLogSigma,
             static_cast<double>(lengthDist.outputMin),
             static_cast<double>(lengthDist.outputMax));
+    customerSamplers.reserve(endpointList.size());
+    for (const EndpointDemand &ep : endpointList) {
+        customerSamplers.emplace_back(ep.customerCount,
+                                      ep.customerZipfS);
+    }
 }
 
 const EndpointDemand &
@@ -129,8 +134,6 @@ RequestGenerator::generate(EndpointId id, SimTime from, SimTime to,
                            std::vector<Request> &out)
 {
     tapas_assert(to > from, "empty generation window");
-    const EndpointDemand &ep = demand(id);
-
     out.clear();
     // Thinning-free approach: piecewise-constant rate per window,
     // evaluated at the window midpoint (windows are <= minutes, far
@@ -141,6 +144,7 @@ RequestGenerator::generate(EndpointId id, SimTime from, SimTime to,
     double t = static_cast<double>(from);
     if (rate <= 0.0)
         return;
+    const ZipfSampler &customers = customerSamplers[id.index];
     while (true) {
         t += rng.exponential(rate);
         if (t >= static_cast<double>(to))
@@ -149,7 +153,7 @@ RequestGenerator::generate(EndpointId id, SimTime from, SimTime to,
         req.id = RequestId(nextRequestId++);
         req.endpoint = id;
         req.customer = CustomerId(static_cast<std::uint32_t>(
-            rng.zipf(ep.customerCount, ep.customerZipfS) - 1));
+            customers.sample(rng) - 1));
         req.arrivalS = t;
         req.promptTokens = samplePromptTokens();
         req.outputTokens = sampleOutputTokens();

@@ -114,6 +114,9 @@ class RequestGenerator
     // ckpt-skip(derived): closed-form mean of the fixed length
     // distribution, recomputed by the constructor
     double cachedMeanTokens = 0.0;
+    // ckpt-skip(derived): one customer sampler per endpoint, built
+    // from the fixed demand shapes by the constructor
+    std::vector<ZipfSampler> customerSamplers;
 
     const EndpointDemand &demand(EndpointId id) const;
     int samplePromptTokens();

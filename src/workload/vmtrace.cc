@@ -30,6 +30,8 @@ VmTraceGenerator::VmTraceGenerator(const VmTraceConfig &config,
     // where large endpoints hold most SaaS VMs (Fig. 12b).
     endpointSizes.assign(
         static_cast<std::size_t>(cfg.endpointCount), 0);
+    const ZipfSampler endpoint_ranks(cfg.endpointCount,
+                                     cfg.endpointZipfS);
 
     std::uint32_t next_id = 0;
     std::vector<SimTime> departures;
@@ -56,8 +58,7 @@ VmTraceGenerator::VmTraceGenerator(const VmTraceConfig &config,
         }
         vm.departure = arrival + std::max<SimTime>(life, kHour);
         if (vm.kind == VmKind::SaaS) {
-            const int rank =
-                rng.zipf(cfg.endpointCount, cfg.endpointZipfS);
+            const int rank = endpoint_ranks.sample(rng);
             vm.endpoint =
                 EndpointId(static_cast<std::uint32_t>(rank - 1));
             ++endpointSizes[vm.endpoint.index];

@@ -7,9 +7,11 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/serialize.hh"
 
 namespace tapas {
 namespace {
@@ -257,11 +259,62 @@ TEST(Rng, WeightedIndexFollowsWeights)
 TEST(Rng, ZipfRankOneMostFrequent)
 {
     Rng rng(67);
+    const ZipfSampler zipf(10, 1.2);
     std::vector<int> counts(11, 0);
     for (int i = 0; i < 50000; ++i)
-        ++counts[rng.zipf(10, 1.2)];
+        ++counts[zipf.sample(rng)];
     for (int k = 2; k <= 10; ++k)
         EXPECT_GT(counts[1], counts[k]);
+}
+
+/**
+ * Reference Zipf inversion: recomputes every weight with std::pow on
+ * each call, summing the norm first and then subtracting in rank
+ * order. ZipfSampler must reproduce it draw for draw.
+ */
+int
+referenceZipf(Rng &rng, int n, double s)
+{
+    double norm = 0.0;
+    for (int k = 1; k <= n; ++k)
+        norm += 1.0 / std::pow(k, s);
+    double pick = rng.uniform() * norm;
+    for (int k = 1; k <= n; ++k) {
+        pick -= 1.0 / std::pow(k, s);
+        if (pick < 0.0)
+            return k;
+    }
+    return n;
+}
+
+std::vector<std::uint8_t>
+rngState(Rng rng)
+{
+    Archive ar = Archive::writer();
+    rng.checkpointState(ar);
+    return ar.takeBuffer();
+}
+
+TEST(ZipfSampler, MatchesReferenceInversionExactly)
+{
+    const std::pair<int, double> cases[] = {
+        {1, 1.1}, {10, 1.2}, {50, 1.1}, {200, 0.8}};
+    for (const auto &[n, s] : cases) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s);
+        const ZipfSampler sampler(n, s);
+        Rng fast(1000 + static_cast<std::uint64_t>(n));
+        Rng slow(1000 + static_cast<std::uint64_t>(n));
+        int mismatches = 0;
+        for (int i = 0; i < 10000; ++i) {
+            const int rank = sampler.sample(fast);
+            ASSERT_GE(rank, 1);
+            ASSERT_LE(rank, n);
+            mismatches += rank != referenceZipf(slow, n, s);
+        }
+        EXPECT_EQ(mismatches, 0);
+        // Same words consumed: the full generator states agree.
+        EXPECT_EQ(rngState(fast), rngState(slow));
+    }
 }
 
 TEST(Rng, ForkProducesIndependentStream)

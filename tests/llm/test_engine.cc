@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "common/serialize.hh"
 #include "llm/engine.hh"
 
 namespace tapas {
@@ -241,13 +243,136 @@ TEST_F(EngineTest, EnqueueDuringReconfigPanics)
     EXPECT_DEATH(engine.enqueue(makeRequest(9, 0.0)), "accepting");
 }
 
-TEST_F(EngineTest, LoadFractionGrowsWithQueue)
+TEST_F(EngineTest, EstimatedTtftGrowsWithQueue)
 {
-    const double empty = engine.loadFraction(60.0);
-    EXPECT_DOUBLE_EQ(empty, 0.0);
-    for (std::uint32_t i = 0; i < 50; ++i)
+    EXPECT_EQ(engine.estimatedTtftS(), 0.0);
+    double last = 0.0;
+    for (std::uint32_t i = 0; i < 50; ++i) {
         engine.enqueue(makeRequest(i, 0.0));
-    EXPECT_GT(engine.loadFraction(60.0), empty);
+        EXPECT_GT(engine.estimatedTtftS(), last);
+        last = engine.estimatedTtftS();
+    }
+}
+
+/**
+ * Reference router load signal, folded from scratch: the active
+ * slot's remaining prefill first, then each queued request's prompt
+ * front to back, over the prefill rate left while decode keeps its
+ * 10% share. The queue is FIFO, so it holds the last queueDepth()
+ * requests of @p enqueued.
+ */
+double
+referenceTtftS(const InferenceEngine &engine,
+               const std::vector<Request> &enqueued)
+{
+    double pending = engine.activePrefillRemaining();
+    for (std::size_t i = enqueued.size() - engine.queueDepth();
+         i < enqueued.size(); ++i) {
+        pending += enqueued[i].promptTokens;
+    }
+    const double rate = 0.9 * engine.hardwareThrottle() *
+        engine.profile().prefill.throughputTps;
+    return rate > 0.0 ? pending / rate : 1e9;
+}
+
+TEST_F(EngineTest, EstimatedTtftIsTheExactBacklogFold)
+{
+    std::vector<Request> enqueued;
+    std::uint32_t next_id = 0;
+    auto burst = [&](InferenceEngine &target, double at, int count) {
+        for (int i = 0; i < count; ++i) {
+            // Uneven prompts: with the slot remainder, a reordered
+            // fold rounds apart from this one.
+            const int prompt = 97 + static_cast<int>(
+                (next_id * 7919u) % 2039u);
+            enqueued.push_back(makeRequest(next_id++, at, prompt));
+            target.enqueue(enqueued.back());
+            ASSERT_EQ(target.estimatedTtftS(),
+                      referenceTtftS(target, enqueued));
+        }
+    };
+
+    burst(engine, 0.0, 40);
+
+    // Stop mid-prefill so the slot's remainder carries across the
+    // step end.
+    const double first_prompt = enqueued.front().promptTokens;
+    engine.step(0.0, 0.29 * first_prompt /
+                         profile.prefill.throughputTps);
+    ASSERT_GT(engine.activePrefillRemaining(), 0.0);
+    ASSERT_LT(engine.activePrefillRemaining(), first_prompt);
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+
+    engine.step(0.05, 3.0);
+    ASSERT_GT(engine.runningBatch(), 0u);
+    burst(engine, 3.0, 25);
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+
+    engine.setHardwareThrottle(0.6);
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+    engine.step(3.0, 4.7);
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+
+    // Model change: drain, then a reload blackout; the queue waits.
+    InstanceConfig smaller = referenceConfig();
+    smaller.model = ModelSize::B7;
+    engine.requestReconfig(model.profile(smaller), 5.0);
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+    double now = 4.7;
+    while (!engine.accepting()) {
+        engine.step(now, now + 1.3);
+        now += 1.3;
+        EXPECT_EQ(engine.estimatedTtftS(),
+                  referenceTtftS(engine, enqueued));
+    }
+    ASSERT_EQ(engine.profile().config.model, ModelSize::B7);
+    burst(engine, now, 15);
+
+    // Migration cutover: another drain + blackout.
+    engine.beginMigration(2.0);
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+    engine.step(now, now + 0.7);
+    now += 0.7;
+    EXPECT_EQ(engine.estimatedTtftS(),
+              referenceTtftS(engine, enqueued));
+    ASSERT_GT(engine.queueDepth(), 0u);
+
+    // Save, restore into a fresh engine: the restored fold matches
+    // the reference and the original, and both keep agreeing.
+    Archive out = Archive::writer();
+    engine.checkpointState(out);
+    ASSERT_TRUE(out.ok());
+    InferenceEngine restored(profile, model.slo());
+    Archive in = Archive::reader(out.buffer());
+    restored.checkpointState(in);
+    ASSERT_TRUE(in.done());
+    EXPECT_EQ(restored.estimatedTtftS(),
+              referenceTtftS(restored, enqueued));
+    EXPECT_EQ(restored.estimatedTtftS(), engine.estimatedTtftS());
+
+    while (!engine.accepting()) {
+        engine.step(now, now + 1.1);
+        restored.step(now, now + 1.1);
+        now += 1.1;
+    }
+    // The same burst into both engines.
+    const std::size_t before = enqueued.size();
+    const std::uint32_t first_id = next_id;
+    burst(engine, now, 10);
+    enqueued.resize(before);
+    next_id = first_id;
+    burst(restored, now, 10);
+    engine.step(now, now + 0.4);
+    restored.step(now, now + 0.4);
+    EXPECT_EQ(restored.estimatedTtftS(),
+              referenceTtftS(restored, enqueued));
+    EXPECT_EQ(restored.estimatedTtftS(), engine.estimatedTtftS());
 }
 
 TEST_F(EngineTest, GoodputCountsOnlySloCompliantTokens)
