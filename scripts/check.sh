@@ -123,16 +123,20 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
 echo "== build (TSan) =="
 cmake --build build-tsan -j
 
-echo "== threadpool/sweep + fault suites (TSan) =="
-# The suites that actually fan work across the shared thread pool:
-# the parallel scenario sweeps (property suite), the fault-engine
-# and failure-manager suites (fault drills construct simulators on
-# worker threads), and the fault-drill integration test. A full
-# ctest pass under TSan is several times slower for no extra
-# concurrency coverage — everything else is single-threaded.
+echo "== threadpool/sweep + fault + request-pipeline suites (TSan) =="
+# The suites that actually fan work across thread pools: the
+# parallel scenario sweeps (property suite), the fault-engine and
+# failure-manager suites (fault drills construct simulators on
+# worker threads), the fault-drill integration test, the
+# concurrent perf-model solves, the TaskGroup fork-join suite, and
+# the request-level pipeline (engines step on the shared pool while
+# the next endpoint routes). A full ctest pass under TSan is several
+# times slower for little extra coverage: other request-level suites
+# take the same pipeline as test_request_pipeline, and the rest of
+# the step loop runs on the simulator's thread.
 tsan_log=$(mktemp)
 (cd build-tsan && ctest --output-on-failure -j --no-tests=error \
-    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention') \
+    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention|test_threadpool|test_request_pipeline') \
     | tee "$tsan_log"
 fail_on_skipped "$tsan_log"
 

@@ -252,24 +252,6 @@ Rng::poisson(double mean)
     return count;
 }
 
-std::size_t
-Rng::weightedIndex(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        tapas_assert(w >= 0.0, "negative sampling weight");
-        total += w;
-    }
-    tapas_assert(total > 0.0, "all sampling weights are zero");
-    double pick = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        pick -= weights[i];
-        if (pick < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
 Rng
 Rng::fork(std::uint64_t stream_id)
 {

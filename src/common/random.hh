@@ -81,12 +81,6 @@ class Rng
     /** Poisson-distributed count with given mean (Knuth/normal appx). */
     int poisson(double mean);
 
-    /**
-     * Sample an index from unnormalized non-negative weights.
-     * Panics if all weights are zero.
-     */
-    std::size_t weightedIndex(const std::vector<double> &weights);
-
     /** Derive an independent generator for a sub-component. */
     Rng fork(std::uint64_t stream_id);
 

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -217,25 +216,6 @@ class Archive
     template <typename T, typename Fn>
     void
     each(std::vector<T> &v, Fn fn)
-    {
-        std::size_t n = v.size();
-        count(n);
-        if (readMode) {
-            if (!checkCount(n, 1)) {
-                v.clear();
-                return;
-            }
-            v.clear();
-            v.resize(n);
-        }
-        for (T &elem : v)
-            fn(*this, elem);
-    }
-
-    /** Deque variant of each() (engine queues). */
-    template <typename T, typename Fn>
-    void
-    eachDeque(std::deque<T> &v, Fn fn)
     {
         std::size_t n = v.size();
         count(n);

@@ -61,6 +61,14 @@ QuantileSample::add(double value)
 }
 
 void
+QuantileSample::reserveFor(std::size_t more)
+{
+    const std::size_t need = values.size() + more;
+    if (values.capacity() < need)
+        values.reserve(std::max(need, 2 * values.capacity()));
+}
+
+void
 QuantileSample::ensureSorted() const
 {
     if (!sorted) {

@@ -54,6 +54,12 @@ class QuantileSample
     void add(double value);
     void reserve(std::size_t n) { values.reserve(n); }
 
+    /**
+     * Grow capacity, geometrically, so that @p more further add()
+     * calls cannot allocate.
+     */
+    void reserveFor(std::size_t more);
+
     std::size_t count() const { return values.size(); }
 
     /** Quantile q in [0, 1]; linear interpolation between ranks. */

@@ -32,6 +32,15 @@ ThreadPool::onWorkerThread()
     return worker_pool != nullptr;
 }
 
+ThreadPool *
+ThreadPool::sharedForFanOut()
+{
+    if (onWorkerThread())
+        return nullptr;
+    ThreadPool &pool = shared();
+    return pool.size() > 1 ? &pool : nullptr;
+}
+
 ThreadPool::ThreadPool(unsigned threads)
 {
     unsigned n = threads;
@@ -144,6 +153,60 @@ ThreadPool::parallelFor(std::size_t count,
                 fn(i);
         },
         chunks);
+}
+
+TaskGroup::~TaskGroup()
+{
+    // Tasks reference the creator's frame: join them even when the
+    // group unwinds without wait(), on an exception in the caller.
+    // That exception wins; a task's own error is logged.
+    try {
+        wait();
+    } catch (const std::exception &e) {
+        warn("task group: a task failed during unwinding: %s",
+             e.what());
+    } catch (...) {
+        warn("task group: a task failed during unwinding");
+    }
+}
+
+void
+TaskGroup::run(std::function<void()> fn)
+{
+    if (!pool) {
+        fn();
+        return;
+    }
+    auto task = std::make_shared<Task>();
+    task->work = std::packaged_task<void()>(std::move(fn));
+    pending.push_back({task, task->work.get_future()});
+    // The queued closure owns the task: it may run after wait() has
+    // claimed and finished it (then it only reads the flag).
+    pool->submit([task]() {
+        if (!task->claimed.exchange(true))
+            task->work();
+    });
+}
+
+void
+TaskGroup::wait()
+{
+    for (Pending &p : pending) {
+        if (!p.task->claimed.exchange(true))
+            p.task->work();
+    }
+    std::exception_ptr first_error;
+    for (Pending &p : pending) {
+        try {
+            p.done.get();
+        } catch (...) {
+            if (!first_error)
+                first_error = std::current_exception();
+        }
+    }
+    pending.clear();
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace tapas

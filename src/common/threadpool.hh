@@ -1,9 +1,10 @@
 /**
  * @file
  * Fixed-size worker pool for embarrassingly parallel simulation work:
- * independent scenario replications, sweep grids, and bench trial
- * fan-out. Tasks must not submit further tasks and then block on
- * them from inside a worker (classic self-deadlock); the intended
+ * independent scenario replications, sweep grids, bench trial
+ * fan-out, and (through TaskGroup) per-step engine stepping. Tasks
+ * must not submit further tasks and then block on them from inside
+ * a worker (classic self-deadlock); the intended
  * pattern is a driver thread submitting leaf work. parallelFor /
  * parallelChunks enforce the rule at runtime (they assert the caller
  * is not one of this pool's own workers), and the queue state is
@@ -14,10 +15,12 @@
 #ifndef TAPAS_COMMON_THREADPOOL_HH
 #define TAPAS_COMMON_THREADPOOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -44,15 +47,22 @@ class ThreadPool
      * Process-wide shared pool (hardware concurrency), created on
      * first use. For coarse construction-time parallelism (batched
      * profile refits) where plumbing a pool through every
-     * constructor is not worth it. Callers must check
-     * onWorkerThread() first and fall back to serial execution when
-     * already inside a pool (sweep jobs construct simulators on
-     * worker threads; nested blocking would deadlock).
+     * constructor is not worth it, and for the request-level
+     * step's engine fan-out. Callers go through sharedForFanOut(),
+     * which falls back to serial execution inside a pool (sweep
+     * jobs construct simulators on worker threads).
      */
     static ThreadPool &shared();
 
     /** True when the calling thread is any ThreadPool's worker. */
     static bool onWorkerThread();
+
+    /**
+     * The shared pool where fanning out can pay, else null (run
+     * serially): null on a pool worker (sweep jobs; nested blocking
+     * could deadlock) or when the shared pool has one worker.
+     */
+    static ThreadPool *sharedForFanOut();
 
     /** Enqueue a task; the future carries its result/exception. */
     template <typename F>
@@ -105,6 +115,47 @@ class ThreadPool
     std::condition_variable_any queueCv;
 
     void workerLoop();
+};
+
+/**
+ * Fork-join group over a pool: run() hands tasks to the pool, wait()
+ * joins them. wait() claims and runs on the caller every task no
+ * worker has started yet, so the join never idles while work is
+ * queued; it drains every task before it rethrows the first
+ * exception. Without a pool, run() executes the task inline (its
+ * exception propagates from run()). A group must be waited on (the
+ * destructor joins) by the thread that created it.
+ */
+class TaskGroup
+{
+  public:
+    /** @param pool where tasks run; null runs each one inline. */
+    explicit TaskGroup(ThreadPool *pool) : pool(pool) {}
+    ~TaskGroup();
+
+    TaskGroup(const TaskGroup &) = delete;
+    TaskGroup &operator=(const TaskGroup &) = delete;
+
+    void run(std::function<void()> fn);
+
+    /** Join every task; rethrow the first exception, if any. */
+    void wait();
+
+  private:
+    struct Task
+    {
+        /** Set by whichever thread (worker or waiter) runs it. */
+        std::atomic<bool> claimed{false};
+        std::packaged_task<void()> work;
+    };
+    struct Pending
+    {
+        std::shared_ptr<Task> task;
+        std::future<void> done;
+    };
+
+    ThreadPool *pool;
+    std::vector<Pending> pending;
 };
 
 } // namespace tapas

@@ -45,8 +45,8 @@ TapasRouter::route(const Request &request,
         cfg.concentrationCeiling * slo_ttft;
 
     // --- Stage 0: risk filter at server/row/aisle levels. ---
-    std::vector<const RouteCandidate *> safe;
-    safe.reserve(candidates.size());
+    std::vector<const RouteCandidate *> &safe = safeScratch;
+    safe.clear();
     for (const RouteCandidate &cand : candidates) {
         if (!cand.engine->accepting())
             continue;
@@ -62,16 +62,21 @@ TapasRouter::route(const Request &request,
         return BaselineRouter().route(request, candidates, nullptr);
     }
 
+    tapas_assert(request.customer.valid(),
+                 "request %u has no customer", request.id.index);
+    const std::uint32_t customer = request.customer.index;
+    if (customer >= affinity.size())
+        affinity.resize(customer + 1);
     auto commit = [&](VmId vm) {
-        affinity[request.customer.index] = vm;
+        affinity[customer] = vm;
         return vm;
     };
 
     // --- Stage 1: KV-cache affinity. ---
-    const auto it = affinity.find(request.customer.index);
-    if (it != affinity.end()) {
+    const VmId last = affinity[customer];
+    if (last.valid()) {
         for (const RouteCandidate *cand : safe) {
-            if (cand->vm == it->second)
+            if (cand->vm == last)
                 return commit(cand->vm);
         }
     }
@@ -104,18 +109,24 @@ TapasRouter::route(const Request &request,
     return commit(spread->vm);
 }
 
+std::size_t
+TapasRouter::affinityEntries() const
+{
+    return static_cast<std::size_t>(
+        std::count_if(affinity.begin(), affinity.end(),
+                      [](VmId vm) { return vm.valid(); }));
+}
+
 void
 TapasRouter::checkpointState(Archive &ar)
 {
-    // Unordered-map iteration order is a determinism hazard: the
-    // table travels sorted by key so the serialized bytes (and the
-    // state digest built from them) are canonical.
-    std::vector<std::pair<std::uint32_t, VmId>> entries(
-        affinity.begin(), affinity.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
+    // The table travels as (customer, VM) pairs in customer order,
+    // valid slots only: canonical bytes however the dense table grew.
+    std::vector<std::pair<std::uint32_t, VmId>> entries;
+    for (std::uint32_t c = 0; c < affinity.size(); ++c) {
+        if (affinity[c].valid())
+            entries.emplace_back(c, affinity[c]);
+    }
     ar.each(entries,
             [](Archive &a, std::pair<std::uint32_t, VmId> &e) {
                 a.value(e.first);
@@ -123,9 +134,11 @@ TapasRouter::checkpointState(Archive &ar)
             });
     if (!ar.writing()) {
         affinity.clear();
-        affinity.reserve(entries.size());
-        for (const auto &[customer, vm] : entries)
-            affinity.emplace(customer, vm);
+        for (const auto &[customer, vm] : entries) {
+            if (customer >= affinity.size())
+                affinity.resize(customer + 1);
+            affinity[customer] = vm;
+        }
     }
 }
 

@@ -12,7 +12,6 @@
 #ifndef TAPAS_CORE_ROUTER_HH
 #define TAPAS_CORE_ROUTER_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/context.hh"
@@ -82,8 +81,8 @@ class TapasRouter : public RequestRouter
 
     const char *name() const override { return "tapas"; }
 
-    /** Affinity table size (for tests). */
-    std::size_t affinityEntries() const { return affinity.size(); }
+    /** Customers with an affinity entry (for tests). */
+    std::size_t affinityEntries() const;
 
     /** Serialize/restore the KV-cache affinity table. */
     void checkpointState(Archive &ar) override;
@@ -91,8 +90,13 @@ class TapasRouter : public RequestRouter
   private:
     // ckpt-skip(constant): policy flags fixed at construction
     TapasPolicyConfig cfg;
-    /** customer -> VM that served them last (KV-cache residency). */
-    std::unordered_map<std::uint32_t, VmId> affinity;
+    /**
+     * VM that last served each customer, indexed by customer (KV-cache
+     * residency); invalid where the customer has no entry.
+     */
+    std::vector<VmId> affinity;
+    // ckpt-skip(scratch): per-request risk-filtered candidate list
+    std::vector<const RouteCandidate *> safeScratch;
 };
 
 } // namespace tapas

@@ -18,6 +18,15 @@ constexpr double kEps = 1e-9;
  * stretching TBT within its (much looser) SLO.
  */
 constexpr double kPrefillShare = 0.9;
+
+/** Grow @p v's capacity to at least @p need, geometrically. */
+template <typename T>
+void
+reserveAtLeast(std::vector<T> &v, std::size_t need)
+{
+    if (v.capacity() < need)
+        v.reserve(std::max(need, 2 * v.capacity()));
+}
 } // namespace
 
 InferenceEngine::InferenceEngine(const ConfigProfile &profile,
@@ -40,6 +49,25 @@ InferenceEngine::enqueue(const Request &request)
     // Extends the backlog fold by one term: bit-identical to a refold.
     pendingPrefill += item.prefillRemaining;
     ++engineStats.enqueued;
+    reserveForOutstanding();
+}
+
+void
+InferenceEngine::reserveForOutstanding()
+{
+    // step() completes at most outstanding() requests and admits
+    // into the running batch only up to the active or (after a
+    // reload) pending batch size, so these capacities let it run
+    // without growing anything; it only ever lowers outstanding()
+    // and raises each sample's count() by as much.
+    const std::size_t n = outstanding();
+    const auto batch = static_cast<std::size_t>(
+        std::max(activeProfile.config.maxBatchSize,
+                 pendingProfile.config.maxBatchSize));
+    reserveAtLeast(running, std::min(n, batch));
+    reserveAtLeast(completions, n);
+    engineStats.ttftS.reserveFor(n);
+    engineStats.tbtS.reserveFor(n);
 }
 
 void
@@ -49,12 +77,14 @@ InferenceEngine::requestReconfig(const ConfigProfile &next,
     if (!next.config.requiresReload(activeProfile.config)) {
         // Frequency/batch changes take effect immediately.
         activeProfile = next;
-        return;
+    } else {
+        pendingProfile = next;
+        hasPending = true;
+        draining = true;
+        reloadDelayS = reload_delay_s;
     }
-    pendingProfile = next;
-    hasPending = true;
-    draining = true;
-    reloadDelayS = reload_delay_s;
+    // A larger batch size needs room in the running batch.
+    reserveForOutstanding();
 }
 
 void
@@ -73,11 +103,10 @@ InferenceEngine::admit(double now)
         return;
     const auto limit =
         static_cast<std::size_t>(activeProfile.config.maxBatchSize);
-    while (!prefillActive && !queue.empty() &&
-           queue.front().request.arrivalS <= now + kEps &&
+    while (!prefillActive && queueHead < queue.size() &&
+           queue[queueHead].request.arrivalS <= now + kEps &&
            running.size() + 1 <= limit) {
-        prefillSlot = queue.front();
-        queue.pop_front();
+        prefillSlot = queue[queueHead++];
         prefillActive = true;
     }
 }
@@ -182,10 +211,10 @@ InferenceEngine::step(double from_s, double to_s)
         if (!has_prefill && !has_decode) {
             // Idle until the next queued arrival (if any) or the end
             // of the step.
-            if (!queue.empty() &&
-                queue.front().request.arrivalS < to_s) {
+            if (queueHead < queue.size() &&
+                queue[queueHead].request.arrivalS < to_s) {
                 now = std::max(now,
-                               queue.front().request.arrivalS);
+                               queue[queueHead].request.arrivalS);
                 continue;
             }
             break;
@@ -207,10 +236,10 @@ InferenceEngine::step(double from_s, double to_s)
         // Earliest of: prefill completion, first decode completion,
         // next queued arrival, end of step.
         double dt = to_s - now;
-        if (!prefillActive && !queue.empty() &&
-            queue.front().request.arrivalS > now) {
+        if (!prefillActive && queueHead < queue.size() &&
+            queue[queueHead].request.arrivalS > now) {
             dt = std::min(dt,
-                          queue.front().request.arrivalS - now);
+                          queue[queueHead].request.arrivalS - now);
         }
         if (has_prefill && prefill_rate > 0.0) {
             dt = std::min(dt,
@@ -271,6 +300,9 @@ InferenceEngine::step(double from_s, double to_s)
     lastBatch = decode_time > 0.0
         ? decode_batch_time / decode_time
         : 0.0;
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(queueHead));
+    queueHead = 0;
     // Admission and prefill progress only happen inside step().
     refoldPendingPrefill();
 }
@@ -388,7 +420,7 @@ InferenceEngine::checkpointState(Archive &ar)
     configProfileFields(ar, activeProfile);
     configProfileFields(ar, pendingProfile);
     sloFields(ar, sloSpec);
-    ar.eachDeque(queue, active);
+    ar.each(queue, active);
     ar.each(running, active);
     ar.value(prefillActive);
     active(ar, prefillSlot);
@@ -403,8 +435,10 @@ InferenceEngine::checkpointState(Archive &ar)
     ar.value(lastPrefill);
     ar.value(lastBatch);
     ar.value(hwThrottle);
-    if (!ar.writing())
+    if (!ar.writing()) {
         refoldPendingPrefill();
+        reserveForOutstanding();
+    }
 }
 
 } // namespace tapas

@@ -15,7 +15,6 @@
 #ifndef TAPAS_LLM_ENGINE_HH
 #define TAPAS_LLM_ENGINE_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -60,13 +59,19 @@ class InferenceEngine
 
     /** Queue + running batch depth. */
     std::size_t outstanding() const
-    { return queue.size() + running.size() + (prefillActive ? 1 : 0); }
+    { return queueDepth() + running.size() + (prefillActive ? 1 : 0); }
 
-    std::size_t queueDepth() const { return queue.size(); }
+    std::size_t queueDepth() const { return queue.size() - queueHead; }
     std::size_t runningBatch() const
     { return running.size() + (prefillActive ? 1 : 0); }
 
-    /** Add a request. Panics if called while not accepting. */
+    /**
+     * Add a request. Panics if called while not accepting. Reserves
+     * room for every outstanding request to run and complete (as do
+     * requestReconfig and a restore), so step() never allocates:
+     * engines may step on pool workers while the simulator's thread
+     * routes.
+     */
     void enqueue(const Request &request);
 
     /**
@@ -145,7 +150,15 @@ class InferenceEngine
     ConfigProfile pendingProfile;
     SloSpec sloSpec;
 
-    std::deque<Active> queue;
+    /**
+     * FIFO of waiting requests. A vector rather than a deque: step()
+     * admits by advancing queueHead and compacts once at its end, so
+     * stepping on a pool worker frees no memory the routing thread
+     * allocated (cross-thread frees contend on the malloc arena).
+     */
+    std::vector<Active> queue;
+    // ckpt-skip(scratch): first unadmitted item; 0 outside step()
+    std::size_t queueHead = 0;
     std::vector<Active> running;
     bool prefillActive = false;
     Active prefillSlot;
@@ -169,6 +182,7 @@ class InferenceEngine
 
     void admit(double now);
     void refoldPendingPrefill();
+    void reserveForOutstanding();
     void finish(Active &item, double now);
     double decodeRate() const;
     void maybeStartBlackout(double now);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/threadpool.hh"
 
 namespace tapas {
 
@@ -668,14 +669,23 @@ void
 ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
 {
     const double dt = static_cast<double>(to - from);
+    const double from_s = static_cast<double>(from);
+    const double to_s = static_cast<double>(to);
     const int gpus = gpusPerServer;
     stepDemandTps = 0.0;
 
-    // Route this step's requests endpoint by endpoint.
+    // Route this step's requests endpoint by endpoint. Once an
+    // endpoint is routed, its engines step as one pool task while
+    // this thread routes the next endpoint. Engines share no state,
+    // and routing an endpoint reads and enqueues only its own
+    // candidates, so the overlap is bit-identical to routing every
+    // endpoint before stepping any engine.
     routedTokensScratch.assign(vmTable.size(), 0.0);
     demandFloorScratch.assign(vmTable.size(), 0.0);
+    endpointSteppedScratch.assign(routeIndex.size(), 0);
     std::vector<double> &routed_tokens = routedTokensScratch;
     std::vector<double> &demand_floor = demandFloorScratch;
+    TaskGroup engine_steps(ThreadPool::sharedForFanOut());
     for (const EndpointDemand &ep : requestGen->endpoints()) {
         const auto &candidates = endpointCandidates(ep.id);
         requestGen->generate(ep.id, from, to, requestsScratch);
@@ -699,15 +709,22 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
             routed_tokens[target.index] +=
                 request.promptTokens + request.outputTokens;
         }
+        endpointSteppedScratch[ep.id.index] = 1;
+        engine_steps.run([&candidates, from_s, to_s]() {
+            for (const RouteCandidate &cand : candidates)
+                cand.engine->step(from_s, to_s);
+        });
     }
+    engine_steps.wait();
 
-    // Advance every engine; harvest latency/quality metrics.
+    // Harvest latency/quality metrics in activeVms order, so every
+    // metric accumulates in the same order however engines stepped.
     for (std::uint32_t i : activeVms) {
         if (!vmTable.isSaas(i))
             continue;
         InferenceEngine *engine = vmTable.engine[i];
-        engine->step(static_cast<double>(from),
-                     static_cast<double>(to));
+        if (!endpointSteppedScratch[vmTable.endpointOf[i]])
+            engine->step(from_s, to_s); // in no routed candidate list
         const int active_gpus = engine->profile().activeGpus;
         vmTable.load[i] = engine->lastUtilization() *
             static_cast<double>(active_gpus) /

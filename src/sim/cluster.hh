@@ -277,6 +277,11 @@ class ClusterSim
     std::vector<double> rowPowerScratch;
     std::vector<double> routedTokensScratch;
     std::vector<double> demandFloorScratch;
+    /**
+     * Request mode: 1 per endpoint whose engines stepped as a
+     * routing-pipeline task this step.
+     */
+    std::vector<char> endpointSteppedScratch;
     std::vector<double> weightsScratch;
     std::vector<const RouteCandidate *> safeScratch;
     std::vector<SaasInstanceRef> instancesScratch;

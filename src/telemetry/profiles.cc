@@ -279,12 +279,12 @@ ProfileBank::profileRange(std::size_t begin, std::size_t end,
                                 &airflowCoeffs[idx * kAirflowWidth]);
     };
 
-    // Nested pools deadlock (sweep jobs construct simulators on
-    // worker threads), and tiny fleets are faster profiled inline.
-    if (count >= kParallelFitThreshold &&
-        !ThreadPool::onWorkerThread() &&
-        ThreadPool::shared().size() > 1) {
-        ThreadPool::shared().parallelFor(count, profile_server);
+    // Tiny fleets are faster profiled inline.
+    ThreadPool *pool = count >= kParallelFitThreshold
+        ? ThreadPool::sharedForFanOut()
+        : nullptr;
+    if (pool) {
+        pool->parallelFor(count, profile_server);
     } else {
         for (std::size_t s = 0; s < count; ++s)
             profile_server(s);

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,7 @@ TEST(Serialize, ArchiveRoundTripsPrimitives)
     std::size_t n = 42;
     ServerId sid(17);
     std::vector<double> pod = {1.0, -2.0, 0.25};
-    std::deque<int> dq = {3, 1, 4};
+    std::vector<int> seq = {3, 1, 4};
     w.value(u);
     w.value(i);
     w.value(d);
@@ -74,7 +73,7 @@ TEST(Serialize, ArchiveRoundTripsPrimitives)
     w.count(n);
     w.value(sid);
     w.podVector(pod);
-    w.eachDeque(dq, [](Archive &ar, int &v) { ar.value(v); });
+    w.each(seq, [](Archive &ar, int &v) { ar.value(v); });
     ASSERT_TRUE(w.ok());
 
     Archive r = Archive::reader(w.buffer());
@@ -88,7 +87,7 @@ TEST(Serialize, ArchiveRoundTripsPrimitives)
     std::size_t n2 = 0;
     ServerId sid2;
     std::vector<double> pod2;
-    std::deque<int> dq2;
+    std::vector<int> seq2;
     r.value(u2);
     r.value(i2);
     r.value(d2);
@@ -100,7 +99,7 @@ TEST(Serialize, ArchiveRoundTripsPrimitives)
     r.count(n2);
     r.value(sid2);
     r.podVector(pod2);
-    r.eachDeque(dq2, [](Archive &ar, int &v) { ar.value(v); });
+    r.each(seq2, [](Archive &ar, int &v) { ar.value(v); });
     EXPECT_TRUE(r.done());
     EXPECT_EQ(u2, u);
     EXPECT_EQ(i2, i);
@@ -113,7 +112,7 @@ TEST(Serialize, ArchiveRoundTripsPrimitives)
     EXPECT_EQ(n2, n);
     EXPECT_EQ(sid2.index, sid.index);
     EXPECT_EQ(pod2, pod);
-    EXPECT_EQ(dq2, dq);
+    EXPECT_EQ(seq2, seq);
 }
 
 TEST(Serialize, ArchiveReadPastEndFailsCleanly)

@@ -5,8 +5,13 @@
 
 #include "fixture.hh"
 
+#include <iterator>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "common/serialize.hh"
 #include "core/router.hh"
 #include "llm/engine.hh"
 
@@ -257,6 +262,65 @@ TEST_F(RouterTest, TapasSkipsOverloadedVms)
     const VmId pick =
         router.route(makeRequest(9), candidates, nullptr);
     EXPECT_EQ(pick, VmId(1));
+}
+
+TEST_F(RouterTest, TapasCheckpointKeepsTheSortedPairEncoding)
+{
+    TapasRouter router{TapasPolicyConfig{}};
+    // Three endpoints' candidate lists over five VMs, unevenly loaded
+    // so customers land on different VMs.
+    std::vector<std::vector<RouteCandidate>> lists(3);
+    lists[0] = {makeCandidate(0, ServerId(0)),
+                makeCandidate(1, ServerId(1))};
+    lists[1] = {makeCandidate(2, ServerId(2))};
+    lists[2] = {makeCandidate(3, ServerId(3)),
+                makeCandidate(4, ServerId(4))};
+    loadEngine(lists[0][1].engine, 1);
+    loadEngine(lists[2][0].engine, 2);
+
+    // Every pick commits here (no risk, light load): the table holds
+    // each customer's last pick.
+    const std::uint32_t customers[] = {41, 3, 17, 3,  0, 29,
+                                       41, 8, 17, 3, 12};
+    std::map<std::uint32_t, VmId> last;
+    for (std::size_t i = 0; i < std::size(customers); ++i) {
+        const VmId pick = router.route(makeRequest(customers[i]),
+                                       lists[i % lists.size()],
+                                       nullptr);
+        ASSERT_TRUE(pick.valid());
+        last[customers[i]] = pick;
+    }
+    EXPECT_EQ(router.affinityEntries(), last.size());
+
+    // The encoding of the hash-map table: (customer, VM) pairs sorted
+    // by customer.
+    std::vector<std::pair<std::uint32_t, VmId>> pairs(last.begin(),
+                                                      last.end());
+    Archive expected = Archive::writer();
+    expected.each(pairs,
+                  [](Archive &a, std::pair<std::uint32_t, VmId> &e) {
+                      a.value(e.first);
+                      a.value(e.second);
+                  });
+    Archive actual = Archive::writer();
+    router.checkpointState(actual);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(actual.buffer(), expected.buffer());
+
+    // Restore: the same bytes back out and the same next picks.
+    TapasRouter restored{TapasPolicyConfig{}};
+    Archive in = Archive::reader(actual.buffer());
+    restored.checkpointState(in);
+    ASSERT_TRUE(in.done());
+    EXPECT_EQ(restored.affinityEntries(), last.size());
+    Archive again = Archive::writer();
+    restored.checkpointState(again);
+    EXPECT_EQ(again.buffer(), actual.buffer());
+    for (std::uint32_t customer : customers) {
+        EXPECT_EQ(
+            restored.route(makeRequest(customer), lists[0], nullptr),
+            router.route(makeRequest(customer), lists[0], nullptr));
+    }
 }
 
 } // namespace

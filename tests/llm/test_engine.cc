@@ -384,5 +384,77 @@ TEST_F(EngineTest, GoodputCountsOnlySloCompliantTokens)
     EXPECT_DOUBLE_EQ(engine.stats().goodputTokens, 110.0);
 }
 
+/** Data pointers of the buffers step() fills that callers can see. */
+struct StepBuffers
+{
+    const CompletedRequest *completions;
+    const double *ttft;
+    const double *tbt;
+};
+
+StepBuffers
+stepBuffers(const InferenceEngine &e)
+{
+    return {e.lastCompletions().data(), e.stats().ttftS.raw().data(),
+            e.stats().tbtS.raw().data()};
+}
+
+void
+expectSameBuffers(const StepBuffers &before, const StepBuffers &after)
+{
+    EXPECT_EQ(before.completions, after.completions);
+    EXPECT_EQ(before.ttft, after.ttft);
+    EXPECT_EQ(before.tbt, after.tbt);
+}
+
+TEST_F(EngineTest, BusyStepNeverGrowsItsBuffers)
+{
+    // Engines step on pool workers while the simulator routes, so
+    // enqueue() and a restore leave room for everything a step can
+    // produce: the step's buffers never move.
+    std::uint32_t next_id = 0;
+    auto burst = [&](InferenceEngine &target, double at, int count) {
+        for (int i = 0; i < count; ++i, ++next_id) {
+            target.enqueue(makeRequest(next_id, at + 0.01 * i,
+                                       200 + 37 * (next_id % 11),
+                                       6 + next_id % 7));
+        }
+    };
+
+    burst(engine, 0.0, 48);
+    StepBuffers before = stepBuffers(engine);
+    engine.step(0.0, 1.0);
+    ASSERT_FALSE(engine.lastCompletions().empty());
+    ASSERT_GT(engine.outstanding(),
+              engine.lastCompletions().size());
+    expectSameBuffers(before, stepBuffers(engine));
+
+    // More load on top of the leftover backlog, run to empty.
+    burst(engine, 1.0, 30);
+    before = stepBuffers(engine);
+    engine.step(1.0, 60.0);
+    ASSERT_EQ(engine.outstanding(), 0u);
+    ASSERT_FALSE(engine.lastCompletions().empty());
+    expectSameBuffers(before, stepBuffers(engine));
+
+    // A restore rebuilds each buffer at its saved size; it must
+    // reserve again before the restored engine steps.
+    burst(engine, 60.0, 40);
+    engine.step(60.0, 60.8);
+    ASSERT_GT(engine.outstanding(),
+              engine.lastCompletions().size());
+    Archive out = Archive::writer();
+    engine.checkpointState(out);
+    ASSERT_TRUE(out.ok());
+    InferenceEngine restored(profile, model.slo());
+    Archive in = Archive::reader(out.buffer());
+    restored.checkpointState(in);
+    ASSERT_TRUE(in.done());
+    before = stepBuffers(restored);
+    restored.step(60.8, 120.0);
+    ASSERT_EQ(restored.outstanding(), 0u);
+    expectSameBuffers(before, stepBuffers(restored));
+}
+
 } // namespace
 } // namespace tapas
