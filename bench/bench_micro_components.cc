@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) for the TAPAS decision
  * components: placement, routing, risk refresh, configuration
- * choice, Zipf sampling, and the ground-truth model evaluations.
+ * choice, request generation, Zipf sampling, and the ground-truth
+ * model evaluations.
  * These bound the control-plane overheads the paper's Section 4.5
  * claims are lightweight.
  */
@@ -21,6 +22,7 @@
 #include "dcsim/thermal.hh"
 #include "llm/engine.hh"
 #include "telemetry/profiles.hh"
+#include "workload/requests.hh"
 
 namespace {
 
@@ -179,6 +181,35 @@ BM_ZipfSample(benchmark::State &state)
         benchmark::DoNotOptimize(zipf.sample(rng));
 }
 BENCHMARK(BM_ZipfSample);
+
+void
+BM_RequestGenerate(benchmark::State &state)
+{
+    // One request-level step's arrivals, the work the simulator
+    // prefetches on the pool: 10 endpoints over one minute at peak
+    // demand, ~600 requests each. Reported as time per request.
+    std::vector<EndpointDemand> endpoints;
+    for (std::uint32_t e = 0; e < 10; ++e) {
+        EndpointDemand ep;
+        ep.id = EndpointId(e);
+        ep.peakTokensPerS = 6500.0;
+        ep.customerCount = 40 + 10 * static_cast<int>(e % 4);
+        endpoints.push_back(ep);
+    }
+    RequestGenerator gen(std::move(endpoints), LengthDistribution{}, 7);
+    const SimTime from = 14 * kHour;
+    double requests = 0.0;
+    for (auto _ : state) {
+        gen.loadWindow(from, from + kMinute);
+        for (const EndpointDemand &ep : gen.endpoints())
+            requests += static_cast<double>(gen.arrivals(ep.id).size());
+        benchmark::DoNotOptimize(requests);
+    }
+    state.counters["per_request"] = benchmark::Counter(
+        requests, benchmark::Counter::kIsRate |
+                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RequestGenerate);
 
 void
 BM_ConfiguratorChoice(benchmark::State &state)

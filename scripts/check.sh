@@ -128,15 +128,18 @@ echo "== threadpool/sweep + fault + request-pipeline suites (TSan) =="
 # parallel scenario sweeps (property suite), the fault-engine and
 # failure-manager suites (fault drills construct simulators on
 # worker threads), the fault-drill integration test, the
-# concurrent perf-model solves, the TaskGroup fork-join suite, and
-# the request-level pipeline (engines step on the shared pool while
-# the next endpoint routes). A full ctest pass under TSan is several
-# times slower for little extra coverage: other request-level suites
-# take the same pipeline as test_request_pipeline, and the rest of
-# the step loop runs on the simulator's thread.
+# concurrent perf-model solves, the TaskGroup fork-join suite, the
+# request generator (the next window's arrivals are generated on a
+# pool task while the current window is read), and the
+# request-level pipeline (that prefetch, plus engines stepping on
+# the shared pool while the next endpoint routes). A full ctest pass
+# under TSan is several times slower for little extra coverage:
+# other request-level suites take the same pipeline as
+# test_request_pipeline, and routing and the rest of the step loop
+# run on the simulator's thread.
 tsan_log=$(mktemp)
 (cd build-tsan && ctest --output-on-failure -j --no-tests=error \
-    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention|test_threadpool|test_request_pipeline') \
+    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention|test_threadpool|test_requests|test_request_pipeline') \
     | tee "$tsan_log"
 fail_on_skipped "$tsan_log"
 

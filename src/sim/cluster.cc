@@ -674,6 +674,18 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
     const int gpus = gpusPerServer;
     stepDemandTps = 0.0;
 
+    // This step's arrivals were generated on the pool while the last
+    // step routed (the first step, and the first after a restore,
+    // generate them here). The next step's arrivals are queued now,
+    // ahead of every engine task, so a worker picks them up first.
+    // Generation reads no simulation state and draws from the
+    // generator's own stream in endpoint order, so the overlap is
+    // bit-identical to generating each endpoint as it routes.
+    ThreadPool *pool = ThreadPool::sharedForFanOut();
+    requestGen->loadWindow(from, to);
+    if (to < cfg.horizon)
+        requestGen->prefetch(to, to + cfg.stepLength, pool);
+
     // Route this step's requests endpoint by endpoint. Once an
     // endpoint is routed, its engines step as one pool task while
     // this thread routes the next endpoint. Engines share no state,
@@ -685,10 +697,9 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
     endpointSteppedScratch.assign(routeIndex.size(), 0);
     std::vector<double> &routed_tokens = routedTokensScratch;
     std::vector<double> &demand_floor = demandFloorScratch;
-    TaskGroup engine_steps(ThreadPool::sharedForFanOut());
+    TaskGroup engine_steps(pool);
     for (const EndpointDemand &ep : requestGen->endpoints()) {
         const auto &candidates = endpointCandidates(ep.id);
-        requestGen->generate(ep.id, from, to, requestsScratch);
         stepDemandTps += requestGen->demandTokensPerS(ep.id, from);
         if (candidates.empty())
             continue;
@@ -700,7 +711,7 @@ ClusterSim::assignSaasLoadRequestMode(SimTime from, SimTime to)
             static_cast<double>(candidates.size());
         for (const RouteCandidate &cand : candidates)
             demand_floor[cand.vm.index] = fair_share;
-        for (const Request &request : requestsScratch) {
+        for (const Request &request : requestGen->arrivals(ep.id)) {
             const VmId target = tapas->router().route(
                 request, candidates, tapas->riskAssessor());
             if (!target.valid())

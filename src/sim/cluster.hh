@@ -285,7 +285,6 @@ class ClusterSim
     std::vector<double> weightsScratch;
     std::vector<const RouteCandidate *> safeScratch;
     std::vector<SaasInstanceRef> instancesScratch;
-    std::vector<Request> requestsScratch;
     std::vector<std::uint32_t> waitingScratch;
     /**
      * Flow-mode per-VM base GPU power cache, filled by

@@ -32,6 +32,16 @@ clampedLogNormalMean(double mu, double sigma, double lo, double hi)
     return lo * normalCdf(a) + hi * (1.0 - normalCdf(b)) + middle;
 }
 
+/** One clamped lognormal token length. */
+int
+sampleTokens(Rng &stream, double log_mean, double log_sigma, int lo,
+             int hi)
+{
+    const double v = stream.logNormal(log_mean, log_sigma);
+    return static_cast<int>(std::clamp(v, static_cast<double>(lo),
+                                       static_cast<double>(hi)));
+}
+
 } // namespace
 
 RequestGenerator::RequestGenerator(
@@ -60,6 +70,8 @@ RequestGenerator::RequestGenerator(
         customerSamplers.emplace_back(ep.customerCount,
                                       ep.customerZipfS);
     }
+    ready.resize(endpointList.size());
+    ahead.resize(endpointList.size());
 }
 
 const EndpointDemand &
@@ -101,37 +113,18 @@ RequestGenerator::meanTokensPerRequest() const
     return cachedMeanTokens;
 }
 
-int
-RequestGenerator::samplePromptTokens()
-{
-    const double v = rng.logNormal(lengthDist.promptLogMean,
-                                   lengthDist.promptLogSigma);
-    return static_cast<int>(std::clamp(
-        v, static_cast<double>(lengthDist.promptMin),
-        static_cast<double>(lengthDist.promptMax)));
-}
-
-int
-RequestGenerator::sampleOutputTokens()
-{
-    const double v = rng.logNormal(lengthDist.outputLogMean,
-                                   lengthDist.outputLogSigma);
-    return static_cast<int>(std::clamp(
-        v, static_cast<double>(lengthDist.outputMin),
-        static_cast<double>(lengthDist.outputMax)));
-}
-
-std::vector<Request>
-RequestGenerator::generate(EndpointId id, SimTime from, SimTime to)
-{
-    std::vector<Request> out;
-    generate(id, from, to, out);
-    return out;
-}
-
 void
 RequestGenerator::generate(EndpointId id, SimTime from, SimTime to,
                            std::vector<Request> &out)
+{
+    dropPrefetch();
+    generateOn(rng, nextRequestId, id, from, to, out);
+}
+
+void
+RequestGenerator::generateOn(Rng &stream, std::uint32_t &next_id,
+                             EndpointId id, SimTime from, SimTime to,
+                             std::vector<Request> &out) const
 {
     tapas_assert(to > from, "empty generation window");
     out.clear();
@@ -146,24 +139,98 @@ RequestGenerator::generate(EndpointId id, SimTime from, SimTime to,
         return;
     const ZipfSampler &customers = customerSamplers[id.index];
     while (true) {
-        t += rng.exponential(rate);
+        t += stream.exponential(rate);
         if (t >= static_cast<double>(to))
             break;
         Request req;
-        req.id = RequestId(nextRequestId++);
+        req.id = RequestId(next_id++);
         req.endpoint = id;
         req.customer = CustomerId(static_cast<std::uint32_t>(
-            customers.sample(rng) - 1));
+            customers.sample(stream) - 1));
         req.arrivalS = t;
-        req.promptTokens = samplePromptTokens();
-        req.outputTokens = sampleOutputTokens();
+        req.promptTokens = sampleTokens(
+            stream, lengthDist.promptLogMean, lengthDist.promptLogSigma,
+            lengthDist.promptMin, lengthDist.promptMax);
+        req.outputTokens = sampleTokens(
+            stream, lengthDist.outputLogMean, lengthDist.outputLogSigma,
+            lengthDist.outputMin, lengthDist.outputMax);
         out.push_back(req);
     }
 }
 
 void
+RequestGenerator::loadWindow(SimTime from, SimTime to)
+{
+    const bool prefetched =
+        prefetchTask && aheadFrom == from && aheadTo == to;
+    dropPrefetch();
+    if (prefetched) {
+        ready.swap(ahead);
+        rng = aheadRng;
+        nextRequestId = aheadNextId;
+        return;
+    }
+    for (std::size_t e = 0; e < endpointList.size(); ++e) {
+        generateOn(rng, nextRequestId, endpointList[e].id, from, to,
+                   ready[e]);
+    }
+}
+
+void
+RequestGenerator::prefetch(SimTime from, SimTime to, ThreadPool *pool)
+{
+    tapas_assert(to > from, "empty generation window");
+    dropPrefetch();
+    // A window's count is Poisson around a slowly drifting rate, so
+    // a quarter over the last one (plus a floor for near-empty
+    // windows) keeps the task off the allocator. Growing only past
+    // the capacity ratchets it to the largest window seen.
+    for (std::size_t e = 0; e < endpointList.size(); ++e) {
+        const std::size_t served = ready[e].size();
+        const std::size_t want = served + served / 4 + 16;
+        if (ahead[e].capacity() < want)
+            ahead[e].reserve(want);
+    }
+    aheadRng = rng;
+    aheadNextId = nextRequestId;
+    aheadFrom = from;
+    aheadTo = to;
+    prefetchTask.emplace(pool);
+    prefetchTask->run([this, from, to]() {
+        for (std::size_t e = 0; e < endpointList.size(); ++e) {
+            generateOn(aheadRng, aheadNextId, endpointList[e].id, from,
+                       to, ahead[e]);
+        }
+    });
+}
+
+void
+RequestGenerator::dropPrefetch()
+{
+    if (!prefetchTask)
+        return;
+    // A task that failed left its window incomplete: forget it
+    // before the error propagates, so it is never served.
+    try {
+        prefetchTask->wait();
+    } catch (...) {
+        prefetchTask.reset();
+        throw;
+    }
+    prefetchTask.reset();
+}
+
+void
 RequestGenerator::checkpointState(Archive &ar)
 {
+    // The prefetch advanced only its own copy of the stream, so a
+    // write sees the position after the window loaded last.
+    if (ar.writing()) {
+        if (prefetchTask)
+            prefetchTask->wait();
+    } else {
+        dropPrefetch();
+    }
     rng.checkpointState(ar);
     ar.value(nextRequestId);
 }

@@ -12,9 +12,11 @@
 #define TAPAS_WORKLOAD_REQUESTS_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/threadpool.hh"
 #include "common/types.hh"
 #include "llm/request.hh"
 
@@ -83,23 +85,45 @@ class RequestGenerator
 
     /**
      * Materialize Poisson request arrivals for one endpoint over
-     * [from, to). Arrival rate = demand / meanTokensPerRequest.
-     */
-    std::vector<Request> generate(EndpointId id, SimTime from,
-                                  SimTime to);
-
-    /**
-     * Pooled variant: @p out is cleared and refilled, retaining its
-     * capacity across calls so steady-state request-level stepping
-     * allocates nothing.
+     * [from, to) into @p out. Arrival rate = demand /
+     * meanTokensPerRequest. @p out is cleared and refilled, keeping
+     * its capacity. Drops any outstanding prefetch: the stream goes
+     * on from here.
      */
     void generate(EndpointId id, SimTime from, SimTime to,
                   std::vector<Request> &out);
 
     /**
+     * Make every endpoint's arrivals over [from, to) readable through
+     * arrivals(). The requests, their ids and the stream position
+     * after the call are exactly those of one generate() per
+     * endpoint, in endpoint order. Joins an outstanding prefetch and
+     * serves the window from it when it covers exactly [from, to);
+     * otherwise generates the window now.
+     */
+    void loadWindow(SimTime from, SimTime to);
+
+    /** Endpoint @p id's arrivals in the window loaded last. */
+    const std::vector<Request> &arrivals(EndpointId id) const
+    { return ready[id.index]; }
+
+    /**
+     * Start generating the window that a later loadWindow(from, to)
+     * will serve, as one task on @p pool (inline when null). The task
+     * advances a copy of the stream, so the generator's own stream
+     * state, and with it checkpointState, stays where it was until
+     * that window is loaded. Call from the thread that loads
+     * windows. Each buffer is reserved here, with headroom over the
+     * window loaded last, so the task does not allocate.
+     */
+    void prefetch(SimTime from, SimTime to, ThreadPool *pool);
+
+    /**
      * Serialize/restore the mutable stream state (arrival Rng and
      * the next request id); the demand shapes are constructor
-     * inputs and do not travel.
+     * inputs and do not travel. Joins an outstanding prefetch first;
+     * a write keeps it (the bytes are those of a generator that never
+     * prefetches), a read drops it.
      */
     void checkpointState(Archive &ar);
 
@@ -117,10 +141,31 @@ class RequestGenerator
     // ckpt-skip(derived): one customer sampler per endpoint, built
     // from the fixed demand shapes by the constructor
     std::vector<ZipfSampler> customerSamplers;
+    // ckpt-skip(scratch): one buffer per endpoint, the arrivals of
+    // the window loaded last; a restore is followed by a load
+    std::vector<std::vector<Request>> ready;
+    // ckpt-skip(scratch): the prefetch task's output buffers, swapped
+    // with ready when its window is loaded; a restore drops them
+    std::vector<std::vector<Request>> ahead;
+    // ckpt-skip(scratch): stream position after the prefetched window,
+    // adopted only when that window is loaded; a restore drops it
+    Rng aheadRng;
+    std::uint32_t aheadNextId = 0; // ckpt-skip(scratch): as aheadRng
+    SimTime aheadFrom = 0;         // ckpt-skip(scratch): as aheadRng
+    SimTime aheadTo = 0;           // ckpt-skip(scratch): as aheadRng
+    // ckpt-skip(scratch): the outstanding prefetch. Declared after
+    // everything its task writes, so destruction joins it first. The
+    // task holds this generator's address; this member also makes
+    // the generator neither copyable nor movable.
+    std::optional<TaskGroup> prefetchTask;
 
     const EndpointDemand &demand(EndpointId id) const;
-    int samplePromptTokens();
-    int sampleOutputTokens();
+    /** generate() on an explicit stream position. */
+    void generateOn(Rng &stream, std::uint32_t &next_id, EndpointId id,
+                    SimTime from, SimTime to,
+                    std::vector<Request> &out) const;
+    /** Join the prefetch, if any, and forget it. */
+    void dropPrefetch();
 };
 
 } // namespace tapas

@@ -1,10 +1,11 @@
 /**
  * @file
- * Determinism of the request-level step's pipeline: engines of a
- * routed endpoint step on the shared pool while the next endpoint
- * routes, and a simulator driven from a pool worker takes the serial
- * path instead. Both must stay stateDigest-identical after every
- * step, across a save -> restore mid-run.
+ * Determinism of the request-level step's pipeline: the next step's
+ * arrivals are generated and the engines of a routed endpoint step on
+ * the shared pool while the next endpoint routes, and a simulator
+ * driven from a pool worker takes the serial path instead. Both must
+ * stay stateDigest-identical after every step, across a save ->
+ * restore mid-run and at the last boundary before the horizon.
  */
 
 #include <gtest/gtest.h>
@@ -80,6 +81,43 @@ TEST(RequestPipeline, FanOutMatchesSerialAfterEveryStep)
     EXPECT_GT(fanned->metrics().requestsCompleted, 0u);
     EXPECT_EQ(fanned->metrics().requestsCompleted,
               serial->metrics().requestsCompleted);
+}
+
+TEST(RequestPipeline, RestoreAtTheLastBoundaryEndsEqual)
+{
+    SimConfig cfg = realClusterScenario(31).asTapas();
+    cfg.horizon = 6 * kMinute;
+    const int total = static_cast<int>(cfg.horizon / cfg.stepLength);
+
+    ThreadPool worker(1);
+    const auto on_worker = [&worker](auto fn) {
+        return worker.submit(fn).get();
+    };
+
+    // Straight through, then resumed from the boundary before the
+    // last step: the next-to-last step prefetched the last window,
+    // so the save is taken with that prefetch outstanding, and the
+    // last window has none after the restore.
+    const auto resumed_digest = [&cfg, total](const char *name) {
+        ClusterSim straight(cfg);
+        straight.run();
+        const std::uint64_t want = straight.stateDigest();
+        ClusterSim first(cfg);
+        first.runSteps(total - 1);
+        EXPECT_FALSE(first.finished());
+        const std::string path = tmpPath(name);
+        EXPECT_TRUE(first.saveCheckpoint(path).ok());
+        ClusterSim resumed(cfg);
+        EXPECT_TRUE(resumed.restoreCheckpoint(path).ok());
+        resumed.runSteps(total);
+        EXPECT_TRUE(resumed.finished());
+        EXPECT_EQ(resumed.stateDigest(), want);
+        return want;
+    };
+    const std::uint64_t fanned = resumed_digest("last_fanned.ckpt");
+    const std::uint64_t serial = on_worker(
+        [&]() { return resumed_digest("last_serial.ckpt"); });
+    EXPECT_EQ(fanned, serial);
 }
 
 } // namespace
