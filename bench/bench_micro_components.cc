@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/random.hh"
 #include "core/allocator.hh"
@@ -245,11 +246,20 @@ BENCHMARK(BM_InletModelEval);
 void
 BM_FittedInletPrediction(benchmark::State &state)
 {
+    // One fleet pass of the fitted inlet spline, reported per server
+    // (per_server is seconds per server).
     World &w = world();
+    const std::size_t servers = w.dc.serverCount();
+    std::vector<double> inlet(servers);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            w.bank.predictInletC(ServerId(5), 28.0, 0.7));
+        w.bank.predictInletBatch(28.0, 0.7, servers, inlet.data());
+        benchmark::DoNotOptimize(inlet.data());
+        benchmark::ClobberMemory();
     }
+    state.counters["per_server"] = benchmark::Counter(
+        static_cast<double>(servers),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FittedInletPrediction);
 

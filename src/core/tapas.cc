@@ -91,6 +91,8 @@ TapasController::configurePass(
     fixedPowerScratch.resize(servers);
     fixedAirflowScratch.resize(servers);
     inletScratch.resize(servers);
+    zeroPowerScratch.resize(servers);
+    zeroAirflowScratch.resize(servers);
     for (std::size_t s = 0; s < servers; ++s) {
         fixedLoadScratch[s] = view.occupied[s] && !saas_server[s]
             ? view.serverLoads[s]
@@ -102,16 +104,12 @@ TapasController::configurePass(
                                   fixedAirflowScratch.data());
     profiles->predictInletBatch(view.outsideC, view.dcLoadFrac,
                                 servers, inletScratch.data());
-    // The zero-load floors depend only on the fitted coefficients;
-    // evaluate them once per fleet size instead of per pass.
-    if (zeroPowerScratch.size() != servers) {
-        zeroPowerScratch.resize(servers);
-        zeroAirflowScratch.resize(servers);
-        profiles->predictPowerUniformBatch(0.0, servers,
-                                           zeroPowerScratch.data());
-        profiles->predictAirflowUniformBatch(
-            0.0, servers, zeroAirflowScratch.data());
-    }
+    // The zero-load floors follow the current fitted models, which
+    // a power refit replaces between passes.
+    profiles->predictPowerUniformBatch(0.0, servers,
+                                       zeroPowerScratch.data());
+    profiles->predictAirflowUniformBatch(0.0, servers,
+                                         zeroAirflowScratch.data());
 
     for (const Server &server : layout.servers()) {
         if (saas_server[server.id.index]) {

@@ -7,6 +7,26 @@
 
 namespace tapas {
 
+namespace {
+
+/** Ground-truth Eq. 1 from its ambient base (cooling curve plus the
+ *  datacenter-load term); shared by the scalar and fleet passes. */
+inline double
+inletC(double base_c, double offset_c, double recirc_slope_c,
+       double overdraw_frac)
+{
+    return base_c + offset_c + recirc_slope_c * overdraw_frac;
+}
+
+/** Ground-truth Eq. 2 for one GPU. */
+inline double
+gpuTempC(double inlet_c, double offset_c, double coeff, double power_w)
+{
+    return inlet_c + offset_c + coeff * power_w;
+}
+
+} // namespace
+
 ThermalModel::ThermalModel(const DatacenterLayout &layout_,
                            const ThermalConfig &config,
                            std::uint64_t seed)
@@ -113,10 +133,10 @@ ThermalModel::inletTemperature(ServerId id, Celsius outside,
                  "server %u not materialized (missing extend()?)",
                  id.index);
 
-    double t = coolingCurve(outside);
-    t += cfg.loadSlopeC * dc_load_frac;
-    t += serverOffsets[id.index];
-    t += cfg.recircSlopeC * aisle_overdraw_frac;
+    double t = inletC(coolingCurve(outside) +
+                          cfg.loadSlopeC * dc_load_frac,
+                      serverOffsets[id.index], cfg.recircSlopeC,
+                      aisle_overdraw_frac);
     if (noise)
         t += noise->gaussian(0.0, cfg.noiseSigmaC);
     return Celsius(t);
@@ -131,7 +151,8 @@ ThermalModel::gpuTemperature(ServerId id, int gpu, Celsius inlet,
     const std::size_t idx =
         id.index * static_cast<std::size_t>(gpusPerServer) +
         static_cast<std::size_t>(gpu);
-    return inlet + gpuOffsets[idx] + gpuCoeffs[idx] * gpu_power.value();
+    return Celsius(gpuTempC(inlet.value(), gpuOffsets[idx],
+                            gpuCoeffs[idx], gpu_power.value()));
 }
 
 void
@@ -152,9 +173,9 @@ ThermalModel::inletTemperatures(Celsius outside, double dc_load_frac,
     out_inlet_c.resize(layout.serverCount());
     for (const Server &server : layout.servers()) {
         const std::size_t s = server.id.index;
-        out_inlet_c[s] = base + serverOffsets[s] +
-            cfg.recircSlopeC *
-                aisle_overdraw_frac[server.aisle.index];
+        out_inlet_c[s] =
+            inletC(base, serverOffsets[s], cfg.recircSlopeC,
+                   aisle_overdraw_frac[server.aisle.index]);
     }
 }
 
@@ -169,8 +190,8 @@ ThermalModel::gpuTemperatures(ServerId id, Celsius inlet,
     for (int g = 0; g < gpusPerServer; ++g) {
         const std::size_t idx =
             base + static_cast<std::size_t>(g);
-        out_c[g] =
-            inlet_c + gpuOffsets[idx] + gpuCoeffs[idx] * gpu_power_w[g];
+        out_c[g] = gpuTempC(inlet_c, gpuOffsets[idx], gpuCoeffs[idx],
+                            gpu_power_w[g]);
     }
 }
 

@@ -43,7 +43,80 @@ constexpr double kRefitEnvelopeFloorW = 250.0;
 /** Max refit residual RMS, watts (sensor-noise scale). */
 constexpr double kRefitMaxResidualW = 150.0;
 
-/** In-place 4x4 Gaussian elimination with partial pivoting. */
+/** Coefficient widths of the flat model arrays. */
+constexpr std::size_t kInletWidth = 5;
+constexpr std::size_t kGpuTempWidth = 3;
+constexpr std::size_t kPowerWidth = 4;
+constexpr std::size_t kAirflowWidth = 2;
+
+// One body per fitted formula; every predictor is a loop over these.
+// The term order is fixed: the build keeps strict per-operation IEEE
+// semantics, so reordering a sum would move every digest.
+
+/** Fitted Eq. 1: the inlet spline, with the hinge terms of
+ *  outside_c precomputed (h0, h1 at kInletKnots). */
+inline double
+inletAt(const double *w, double outside_c, double h0, double h1,
+        double dc_load_frac)
+{
+    double acc = w[0];
+    acc += w[1] * outside_c;
+    acc += w[2] * h0;
+    acc += w[3] * h1;
+    acc += w[4] * dc_load_frac;
+    return acc;
+}
+
+/** Fitted Eq. 2: one GPU's temperature line. */
+inline double
+gpuTempAt(const double *w, double inlet_c, double gpu_power_w)
+{
+    return w[0] + w[1] * inlet_c + w[2] * gpu_power_w;
+}
+
+/** Hottest fitted Eq. 2 over one server's GPU block. A power stride
+ *  of 1 reads one power per GPU; 0 applies one power to every GPU. */
+inline double
+hottestGpuAt(const double *w, std::size_t gpus, double inlet_c,
+             const double *gpu_power_w, std::size_t power_stride)
+{
+    double hottest = -1e9;
+    for (std::size_t g = 0; g < gpus;
+         ++g, w += kGpuTempWidth, gpu_power_w += power_stride) {
+        hottest = std::max(hottest,
+                           gpuTempAt(w, inlet_c, *gpu_power_w));
+    }
+    return hottest;
+}
+
+/** Fitted Eq. 3: the airflow line at a clamped load. */
+inline double
+airflowAt(const double *w, double load_frac)
+{
+    const double x = std::clamp(load_frac, 0.0, 1.0);
+    return w[0] + w[1] * x;
+}
+
+/** Fitted Eq. 4: the power cubic at a clamped load (same power
+ *  basis as PolynomialRegression::predict). */
+inline double
+powerAt(const double *w, double load_frac)
+{
+    const double x = std::clamp(load_frac, 0.0, 1.0);
+    double acc = w[0];
+    double term = x;
+    for (std::size_t p = 1; p < kPowerWidth; ++p) {
+        acc += w[p] * term;
+        term *= x;
+    }
+    return acc;
+}
+
+/**
+ * In-place 4x4 Gaussian elimination with partial pivoting. Kept
+ * apart from the shared OLS solver: it adds no ridge term and
+ * reports a singular refit (skipped) instead of asserting.
+ */
 bool
 solveNormal4(double a[4][4], double b[4], double *out)
 {
@@ -297,8 +370,8 @@ void
 ProfileBank::recomputeClasses()
 {
     inletBias.resize(profiledServers, 0.0);
-    for (std::size_t s = 0; s < profiledServers; ++s)
-        inletBias[s] = evalInlet(s, kRefOutsideC, kRefDcLoad);
+    predictInletBatch(kRefOutsideC, kRefDcLoad, profiledServers,
+                      inletBias.data());
     std::vector<std::size_t> order(profiledServers);
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -324,109 +397,19 @@ ProfileBank::recomputeClasses()
 }
 
 double
-ProfileBank::evalInlet(std::size_t server, double outside_c,
-                       double dc_load_frac) const
-{
-    // Same term order as PiecewiseLinearModel::predict: intercept,
-    // linear x0, hinges, then the extra linear feature.
-    const double *w = &inletCoeffs[server * kInletWidth];
-    double acc = w[0];
-    acc += w[1] * outside_c;
-    acc += w[2] * std::max(0.0, outside_c - kInletKnots[0]);
-    acc += w[3] * std::max(0.0, outside_c - kInletKnots[1]);
-    acc += w[4] * dc_load_frac;
-    return acc;
-}
-
-double
-ProfileBank::predictInletC(ServerId id, double outside_c,
-                           double dc_load_frac) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    return evalInlet(id.index, outside_c, dc_load_frac);
-}
-
-double
 ProfileBank::predictGpuTempC(ServerId id, int gpu, double inlet_c,
                              double gpu_power_w) const
 {
     tapas_assert(id.index < profiledServers,
                  "server %u not profiled", id.index);
-    const double *w = &gpuTempCoeffs[(id.index *
-                                          static_cast<std::size_t>(
-                                              gpusPerServer) +
-                                      static_cast<std::size_t>(gpu)) *
-                                     kGpuTempWidth];
-    return w[0] + w[1] * inlet_c + w[2] * gpu_power_w;
-}
-
-double
-ProfileBank::predictHottestGpuC(ServerId id, double inlet_c,
-                                double per_gpu_power_w) const
-{
-    // Hot path of the configurator's feasibility sweep: one walk
-    // over the server's contiguous coefficient block.
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    const double *w =
-        &gpuTempCoeffs[id.index *
-                       static_cast<std::size_t>(gpusPerServer) *
-                       kGpuTempWidth];
-    double hottest = -1e9;
-    for (int g = 0; g < gpusPerServer; ++g, w += kGpuTempWidth) {
-        hottest = std::max(
-            hottest,
-            w[0] + w[1] * inlet_c + w[2] * per_gpu_power_w);
-    }
-    return hottest;
-}
-
-double
-ProfileBank::predictHottestGpuC(ServerId id, double inlet_c,
-                                const double *gpu_power_w) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    const double *w =
-        &gpuTempCoeffs[id.index *
-                       static_cast<std::size_t>(gpusPerServer) *
-                       kGpuTempWidth];
-    double hottest = -1e9;
-    for (int g = 0; g < gpusPerServer; ++g, w += kGpuTempWidth) {
-        hottest = std::max(
-            hottest,
-            w[0] + w[1] * inlet_c + w[2] * gpu_power_w[g]);
-    }
-    return hottest;
-}
-
-double
-ProfileBank::predictServerPowerW(ServerId id, double load_frac) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    // Same inline power basis as PolynomialRegression::predict.
-    const double x = std::clamp(load_frac, 0.0, 1.0);
-    const double *w = &powerCoeffs[id.index * kPowerWidth];
-    double acc = w[0];
-    double term = x;
-    for (std::size_t p = 1; p < kPowerWidth; ++p) {
-        acc += w[p] * term;
-        term *= x;
-    }
-    return acc;
-}
-
-double
-ProfileBank::predictServerAirflowCfm(ServerId id,
-                                     double load_frac) const
-{
-    tapas_assert(id.index < profiledServers,
-                 "server %u not profiled", id.index);
-    const double x = std::clamp(load_frac, 0.0, 1.0);
-    const double *w = &airflowCoeffs[id.index * kAirflowWidth];
-    return w[0] + w[1] * x;
+    tapas_assert(gpu >= 0 && gpu < gpusPerServer,
+                 "gpu index %d out of range", gpu);
+    const std::size_t gpus =
+        static_cast<std::size_t>(gpusPerServer);
+    return gpuTempAt(&gpuTempCoeffs[(id.index * gpus +
+                                     static_cast<std::size_t>(gpu)) *
+                                    kGpuTempWidth],
+                     inlet_c, gpu_power_w);
 }
 
 void
@@ -436,21 +419,13 @@ ProfileBank::predictInletBatch(double outside_c, double dc_load_frac,
     tapas_assert(count <= profiledServers,
                  "batch of %zu exceeds %zu profiled servers", count,
                  profiledServers);
-    // The hinge terms depend only on the shared ambient input;
-    // hoisting them keeps the walk one contiguous coefficient read
-    // plus four fused multiply-adds per server. Term order matches
-    // evalInlet exactly, so results are bit-identical.
+    // The hinge terms depend only on the shared ambient input, so
+    // the walk is one contiguous coefficient read per server.
     const double h0 = std::max(0.0, outside_c - kInletKnots[0]);
     const double h1 = std::max(0.0, outside_c - kInletKnots[1]);
     const double *w = inletCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kInletWidth) {
-        double acc = w[0];
-        acc += w[1] * outside_c;
-        acc += w[2] * h0;
-        acc += w[3] * h1;
-        acc += w[4] * dc_load_frac;
-        out[s] = acc;
-    }
+    for (std::size_t s = 0; s < count; ++s, w += kInletWidth)
+        out[s] = inletAt(w, outside_c, h0, h1, dc_load_frac);
 }
 
 void
@@ -461,16 +436,8 @@ ProfileBank::predictPowerBatch(const double *load_frac,
                  "batch of %zu exceeds %zu profiled servers", count,
                  profiledServers);
     const double *w = powerCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kPowerWidth) {
-        const double x = std::clamp(load_frac[s], 0.0, 1.0);
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[s] = acc;
-    }
+    for (std::size_t s = 0; s < count; ++s, w += kPowerWidth)
+        out[s] = powerAt(w, load_frac[s]);
 }
 
 void
@@ -481,17 +448,9 @@ ProfileBank::predictPowerUniformBatch(double load_frac,
     tapas_assert(count <= profiledServers,
                  "batch of %zu exceeds %zu profiled servers", count,
                  profiledServers);
-    const double x = std::clamp(load_frac, 0.0, 1.0);
     const double *w = powerCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kPowerWidth) {
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[s] = acc;
-    }
+    for (std::size_t s = 0; s < count; ++s, w += kPowerWidth)
+        out[s] = powerAt(w, load_frac);
 }
 
 void
@@ -502,10 +461,8 @@ ProfileBank::predictAirflowBatch(const double *load_frac,
                  "batch of %zu exceeds %zu profiled servers", count,
                  profiledServers);
     const double *w = airflowCoeffs.data();
-    for (std::size_t s = 0; s < count; ++s, w += kAirflowWidth) {
-        const double x = std::clamp(load_frac[s], 0.0, 1.0);
-        out[s] = w[0] + w[1] * x;
-    }
+    for (std::size_t s = 0; s < count; ++s, w += kAirflowWidth)
+        out[s] = airflowAt(w, load_frac[s]);
 }
 
 void
@@ -516,10 +473,9 @@ ProfileBank::predictAirflowUniformBatch(double load_frac,
     tapas_assert(count <= profiledServers,
                  "batch of %zu exceeds %zu profiled servers", count,
                  profiledServers);
-    const double x = std::clamp(load_frac, 0.0, 1.0);
     const double *w = airflowCoeffs.data();
     for (std::size_t s = 0; s < count; ++s, w += kAirflowWidth)
-        out[s] = w[0] + w[1] * x;
+        out[s] = airflowAt(w, load_frac);
 }
 
 void
@@ -530,15 +486,8 @@ ProfileBank::predictPowerGather(const ServerId *ids,
     for (std::size_t i = 0; i < n; ++i) {
         tapas_assert(ids[i].index < profiledServers,
                      "server %u not profiled", ids[i].index);
-        const double x = std::clamp(load_frac[i], 0.0, 1.0);
-        const double *w = &powerCoeffs[ids[i].index * kPowerWidth];
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        out[i] = acc;
+        out[i] = powerAt(&powerCoeffs[ids[i].index * kPowerWidth],
+                         load_frac[i]);
     }
 }
 
@@ -550,10 +499,8 @@ ProfileBank::predictAirflowGather(const ServerId *ids,
     for (std::size_t i = 0; i < n; ++i) {
         tapas_assert(ids[i].index < profiledServers,
                      "server %u not profiled", ids[i].index);
-        const double x = std::clamp(load_frac[i], 0.0, 1.0);
-        const double *w =
-            &airflowCoeffs[ids[i].index * kAirflowWidth];
-        out[i] = w[0] + w[1] * x;
+        out[i] = airflowAt(&airflowCoeffs[ids[i].index * kAirflowWidth],
+                           load_frac[i]);
     }
 }
 
@@ -569,15 +516,9 @@ ProfileBank::predictHottestGpuBatch(const double *inlet_c,
     const std::size_t gpus =
         static_cast<std::size_t>(gpusPerServer);
     const double *w = gpuTempCoeffs.data();
-    const double *p = gpu_power_w;
-    for (std::size_t s = 0; s < count; ++s, p += gpus) {
-        const double inlet = inlet_c[s];
-        double hottest = -1e9;
-        for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
-            hottest = std::max(
-                hottest, w[0] + w[1] * inlet + w[2] * p[g]);
-        }
-        out[s] = hottest;
+    for (std::size_t s = 0; s < count; ++s) {
+        out[s] = hottestGpuAt(w + s * gpus * kGpuTempWidth, gpus,
+                              inlet_c[s], gpu_power_w + s * gpus, 1);
     }
 }
 
@@ -593,14 +534,8 @@ ProfileBank::predictHottestGpuUniformBatch(
         static_cast<std::size_t>(gpusPerServer);
     const double *w = gpuTempCoeffs.data();
     for (std::size_t s = 0; s < count; ++s) {
-        const double inlet = inlet_c[s];
-        const double power = per_gpu_power_w[s];
-        double hottest = -1e9;
-        for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
-            hottest = std::max(
-                hottest, w[0] + w[1] * inlet + w[2] * power);
-        }
-        out[s] = hottest;
+        out[s] = hottestGpuAt(w + s * gpus * kGpuTempWidth, gpus,
+                              inlet_c[s], &per_gpu_power_w[s], 0);
     }
 }
 
@@ -617,14 +552,8 @@ ProfileBank::predictHottestGpuCandidates(ServerId id, double inlet_c,
     const double *block =
         &gpuTempCoeffs[id.index * gpus * kGpuTempWidth];
     for (std::size_t i = 0; i < n; ++i) {
-        const double power = per_gpu_power_w[i];
-        const double *w = block;
-        double hottest = -1e9;
-        for (std::size_t g = 0; g < gpus; ++g, w += kGpuTempWidth) {
-            hottest = std::max(
-                hottest, w[0] + w[1] * inlet_c + w[2] * power);
-        }
-        out[i] = hottest;
+        out[i] = hottestGpuAt(block, gpus, inlet_c,
+                              &per_gpu_power_w[i], 0);
     }
 }
 
@@ -636,10 +565,8 @@ ProfileBank::predictAirflowCandidates(ServerId id,
     tapas_assert(id.index < profiledServers,
                  "server %u not profiled", id.index);
     const double *w = &airflowCoeffs[id.index * kAirflowWidth];
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = std::clamp(load_frac[i], 0.0, 1.0);
-        out[i] = w[0] + w[1] * x;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = airflowAt(w, load_frac[i]);
 }
 
 ThermalClass
@@ -676,16 +603,6 @@ ProfileBank::refitPowerFromTelemetry(const TelemetryStore &store)
                     offlinePowerCoeffs.size()),
             powerCoeffs.end());
     }
-
-    auto eval = [](const double *w, double x) {
-        double acc = w[0];
-        double term = x;
-        for (std::size_t p = 1; p < kPowerWidth; ++p) {
-            acc += w[p] * term;
-            term *= x;
-        }
-        return acc;
-    };
 
     for (std::size_t s = 0; s < profiledServers; ++s) {
         const ServerId id(static_cast<std::uint32_t>(s));
@@ -728,11 +645,11 @@ ProfileBank::refitPowerFromTelemetry(const TelemetryStore &store)
         const double *anchor = &offlinePowerCoeffs[s * kPowerWidth];
         bool diverging = false;
         for (const double x : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-            const double ref = eval(anchor, x);
+            const double ref = powerAt(anchor, x);
             const double tol =
                 std::max(kRefitEnvelopeFloorW,
                          kRefitEnvelopeFrac * std::abs(ref));
-            if (std::abs(eval(w, x) - ref) > tol) {
+            if (std::abs(powerAt(w, x) - ref) > tol) {
                 diverging = true;
                 break;
             }
@@ -745,7 +662,7 @@ ProfileBank::refitPowerFromTelemetry(const TelemetryStore &store)
             for (const ServerSample &sample : samples) {
                 const double x = std::clamp(
                     static_cast<double>(sample.gpuLoad), 0.0, 1.0);
-                const double resid = eval(w, x) -
+                const double resid = powerAt(w, x) -
                     static_cast<double>(sample.serverPowerW);
                 sq += resid * resid;
             }

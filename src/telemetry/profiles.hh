@@ -102,44 +102,12 @@ class ProfileBank
     std::uint64_t refitsRejected() const
     { return refitsRejectedCount; }
 
-    // ------------------------------------------------------------
-    // Scalar predictions.
-    //
-    // scalar-predict-deprecated: the per-server predict* calls below
-    // survive for tests, offline benches, and debug cross-checks
-    // only. Decision hot loops (risk refresh, the TAPAS allocator,
-    // the configurator) must go through the batched passes further
-    // down, which stream the flat coefficient arrays once per fleet
-    // (or once per candidate block) instead of re-entering per
-    // server. The batched passes evaluate the exact same expressions
-    // element-wise, so results are bit-identical to the scalar calls.
-    // ------------------------------------------------------------
-
-    /** Predicted inlet temperature (fitted Eq. 1). */
-    double predictInletC(ServerId id, double outside_c,
-                         double dc_load_frac) const;
-
-    /** Predicted GPU temperature (fitted Eq. 2). */
+    /**
+     * Predicted temperature of one GPU (fitted Eq. 2). The one
+     * per-GPU query; decision loops use the batched passes below.
+     */
     double predictGpuTempC(ServerId id, int gpu, double inlet_c,
                            double gpu_power_w) const;
-
-    /** Max predicted GPU temp across a server's GPUs. */
-    double predictHottestGpuC(ServerId id, double inlet_c,
-                              double per_gpu_power_w) const;
-
-    /**
-     * Max predicted GPU temp with measured per-GPU powers
-     * (gpusPerServer-wide slice); risk-refresh hot path.
-     */
-    double predictHottestGpuC(ServerId id, double inlet_c,
-                              const double *gpu_power_w) const;
-
-    /** Predicted server power at a load fraction (fitted Eq. 4). */
-    double predictServerPowerW(ServerId id, double load_frac) const;
-
-    /** Predicted server airflow at a load fraction (fitted Eq. 3). */
-    double predictServerAirflowCfm(ServerId id,
-                                   double load_frac) const;
 
     // ------------------------------------------------------------
     // Batched prediction passes (the hot-loop entry points).
@@ -239,12 +207,6 @@ class ProfileBank
     void checkpointState(Archive &ar);
 
   private:
-    /** Coefficient widths of the flat model arrays. */
-    static constexpr std::size_t kInletWidth = 5;
-    static constexpr std::size_t kGpuTempWidth = 3;
-    static constexpr std::size_t kPowerWidth = 4;
-    static constexpr std::size_t kAirflowWidth = 2;
-
     // ckpt-skip(constant): layout wiring bound at construction
     const DatacenterLayout &layout;
 
@@ -279,9 +241,6 @@ class ProfileBank
                       const PowerModel &power,
                       std::uint64_t noise_base);
     void recomputeClasses();
-
-    double evalInlet(std::size_t server, double outside_c,
-                     double dc_load_frac) const;
 };
 
 } // namespace tapas

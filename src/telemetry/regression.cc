@@ -57,74 +57,10 @@ rSquared(const std::vector<double> &truth,
 namespace {
 
 /**
- * Solve the symmetric system A w = b in place via Gaussian
- * elimination with partial pivoting. Adds a tiny ridge term for
- * numerical robustness with collinear bases.
- */
-std::vector<double>
-solveNormalEquations(std::vector<std::vector<double>> A,
-                     std::vector<double> b)
-{
-    const std::size_t n = A.size();
-    for (std::size_t i = 0; i < n; ++i)
-        A[i][i] += 1e-9;
-
-    for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r) {
-            if (std::abs(A[r][col]) > std::abs(A[pivot][col]))
-                pivot = r;
-        }
-        std::swap(A[col], A[pivot]);
-        std::swap(b[col], b[pivot]);
-        tapas_assert(std::abs(A[col][col]) > 1e-15,
-                     "singular normal equations");
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const double factor = A[r][col] / A[col][col];
-            for (std::size_t c = col; c < n; ++c)
-                A[r][c] -= factor * A[col][c];
-            b[r] -= factor * b[col];
-        }
-    }
-    std::vector<double> w(n, 0.0);
-    for (std::size_t i = n; i-- > 0;) {
-        double acc = b[i];
-        for (std::size_t c = i + 1; c < n; ++c)
-            acc -= A[i][c] * w[c];
-        w[i] = acc / A[i][i];
-    }
-    return w;
-}
-
-std::vector<double>
-fitOls(const std::vector<std::vector<double>> &rows,
-       const std::vector<double> &y)
-{
-    tapas_assert(!rows.empty() && rows.size() == y.size(),
-                 "OLS needs matching non-empty X and y");
-    const std::size_t d = rows.front().size() + 1;
-    std::vector<std::vector<double>> xtx(
-        d, std::vector<double>(d, 0.0));
-    std::vector<double> xty(d, 0.0);
-    std::vector<double> row(d, 0.0);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        row[0] = 1.0;
-        for (std::size_t j = 0; j < rows[i].size(); ++j)
-            row[j + 1] = rows[i][j];
-        for (std::size_t a = 0; a < d; ++a) {
-            xty[a] += row[a] * y[i];
-            for (std::size_t b = 0; b < d; ++b)
-                xtx[a][b] += row[a] * row[b];
-        }
-    }
-    return solveNormalEquations(std::move(xtx), std::move(xty));
-}
-
-/**
- * Flat-storage twin of solveNormalEquations: identical operation
- * sequence (ridge, partial pivoting, elimination, back-substitution)
- * over a row-major n x n matrix. Destroys @p A and @p b in place;
- * writes the weights into caller storage.
+ * Solve the symmetric system A w = b via Gaussian elimination with
+ * partial pivoting over a row-major n x n matrix. Adds a tiny ridge
+ * term for numerical robustness with collinear bases. Destroys @p A
+ * and @p b in place; writes the weights into caller storage.
  */
 void
 solveNormalEquationsInPlace(double *A, double *b, std::size_t n,
@@ -173,8 +109,8 @@ SharedDesign::SharedDesign(
     wide = rows.front().size() + 1;
     basisRows.assign(samples * wide, 0.0);
     xtx.assign(wide * wide, 0.0);
-    // Same accumulation order as fitOls: per observation, then the
-    // (a, b) upper loop — bit-identical partial sums.
+    // Per observation, then the (a, b) loop: each X^T X entry sums
+    // the observations in row order.
     for (std::size_t i = 0; i < samples; ++i) {
         tapas_assert(rows[i].size() + 1 == wide,
                      "ragged design rows");
@@ -234,7 +170,7 @@ void
 LinearRegression::fit(const std::vector<std::vector<double>> &X,
                       const std::vector<double> &y)
 {
-    weights = fitOls(X, y);
+    SharedDesign(X).solve(y, weights);
 }
 
 double

@@ -34,9 +34,9 @@ double rSquared(const std::vector<double> &truth,
  * observes the same bench sweep, only the targets differ). Stores
  * the intercept-augmented basis rows and the accumulated normal
  * matrix X^T X once; solve(y) then costs a single X^T y accumulation
- * plus one tiny dense solve per series. The accumulation order
- * matches LinearRegression::fit exactly, so the weights are
- * bit-identical to an unbatched fit on the same rows.
+ * plus one tiny dense solve per series. LinearRegression::fit is a
+ * one-off SharedDesign solve, so the weights are bit-identical to an
+ * unbatched fit on the same rows.
  */
 class SharedDesign
 {
@@ -54,8 +54,7 @@ class SharedDesign
 
     /**
      * Solve for the weights of one target vector; @p weights is
-     * resized to width(). Bit-identical to LinearRegression::fit on
-     * (rows, y).
+     * resized to width().
      */
     void solve(const std::vector<double> &y,
                std::vector<double> &weights) const;
@@ -115,6 +114,10 @@ class PolynomialRegression
 
     double predict(double x) const;
 
+    /** [intercept, w_1, ..., w_degree]. */
+    const std::vector<double> &coefficients() const
+    { return ols.coefficients(); }
+
   private:
     int deg;
     LinearRegression ols;
@@ -147,6 +150,10 @@ class PiecewiseLinearModel
 
     /** Allocation-free variant; evaluates the hinge basis inline. */
     double predict(const double *x, std::size_t n) const;
+
+    /** [intercept, x0, one hinge per knot, extra features...]. */
+    const std::vector<double> &coefficients() const
+    { return ols.coefficients(); }
 
   private:
     std::vector<double> knots;

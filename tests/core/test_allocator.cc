@@ -8,6 +8,7 @@
 #include <map>
 
 #include "core/allocator.hh"
+#include "telemetry/profile_lanes.hh"
 
 namespace tapas {
 namespace {
@@ -151,7 +152,7 @@ TEST_F(AllocatorTest, PredictedRowPowerCountsIdleServers)
     const double empty_row = TapasAllocator::predictedRowPower(
         view, RowId(0), ServerId(), 0.0);
     const double idle_draw =
-        bank.predictServerPowerW(ServerId(0), 0.0);
+        onePowerW(bank, ServerId(0), 0.0);
     EXPECT_GT(empty_row, 0.8 * idle_draw *
               static_cast<double>(dc.row(RowId(0)).servers.size()));
 }

@@ -8,6 +8,7 @@
 #include "fixture.hh"
 
 #include "core/configurator.hh"
+#include "telemetry/profile_lanes.hh"
 
 namespace tapas {
 namespace {
@@ -90,7 +91,7 @@ TEST_F(ConfiguratorTest, TempCapRespectedByProjection)
         1.0, 200.0 / decision.profile.goodputTps);
     const double gpu_w =
         perf.estimateGpuPower(decision.profile, util).value();
-    EXPECT_LE(bank.predictHottestGpuC(ServerId(0), 28.0, gpu_w),
+    EXPECT_LE(oneHottestGpuC(bank, ServerId(0), 28.0, gpu_w),
               70.0 + 1e-9);
 }
 
@@ -98,7 +99,7 @@ TEST_F(ConfiguratorTest, QualityFloorBlocksSmallModels)
 {
     InstanceLimits limits = looseLimits();
     limits.maxServerPowerW =
-        bank.predictServerPowerW(ServerId(0), 0.0) + 100.0;
+        onePowerW(bank, ServerId(0), 0.0) + 100.0;
     // At near-saturating demand nothing quality-1.0 fits this cap;
     // with a 0.999 floor the configurator must NOT dip to 13B/7B,
     // only report infeasible.
@@ -118,7 +119,7 @@ TEST_F(ConfiguratorTest, EmergencyFloorUnlocksSmallerModels)
     InstanceLimits limits = looseLimits();
     // A cap that quality-1.0 70B configs cannot meet at this demand,
     // but a quantized variant can (Table 2 last-resort behavior).
-    const double idle = bank.predictServerPowerW(ServerId(0), 0.0);
+    const double idle = onePowerW(bank, ServerId(0), 0.0);
     limits.maxServerPowerW = idle + 500.0;
     const double demand = 0.5 * refProfile.goodputTps;
     const ConfigDecision decision = configurator.choose(
@@ -179,7 +180,7 @@ TEST_F(ConfiguratorTest, FeasibleChecksAirflow)
 {
     InstanceLimits limits = looseLimits();
     limits.maxAirflowCfm =
-        bank.predictServerAirflowCfm(ServerId(0), 0.05);
+        oneAirflowCfm(bank, ServerId(0), 0.05);
     EXPECT_FALSE(configurator.feasible(
         ServerId(0), bank, limits, refProfile,
         refProfile.goodputTps));

@@ -10,6 +10,7 @@
 #include "core/failure.hh"
 #include "core/tapas.hh"
 #include "llm/engine.hh"
+#include "telemetry/history.hh"
 
 namespace tapas {
 namespace {
@@ -171,6 +172,71 @@ TEST_F(TapasControllerTest, ConfigurePassSkipsReconfiguringEngines)
     ASSERT_TRUE(engines[0]->reconfiguring());
     controller.configurePass(view, instances);
     EXPECT_EQ(controller.reconfigsIssued(), 0u);
+}
+
+TEST_F(TapasControllerTest, AcceptedRefitMovesZeroLoadFloors)
+{
+    // The zero-load power floor must follow the current fitted
+    // model: after an accepted power refit, a controller that has
+    // already run a pass decides exactly as a freshly built one (a
+    // restored simulation builds a fresh controller).
+    const ServerId sid = dc.row(RowId(0)).servers.front();
+    TapasController warm(allOn(), dc, cooling, hierarchy, &bank,
+                         &perf);
+    {
+        // The warm-up instance is mid-reload, so this pass evaluates
+        // the fleet's floors but decides nothing and leaves no dwell
+        // history behind.
+        std::vector<SaasInstanceRef> busy;
+        busy.push_back(makeInstance(0, sid, 100.0));
+        InstanceConfig smaller = referenceConfig();
+        smaller.model = ModelSize::B13;
+        engines.back()->requestReconfig(perf.profile(smaller), 30.0);
+        warm.configurePass(view, busy);
+        ASSERT_EQ(warm.reconfigsIssued(), 0u);
+    }
+
+    // Accept a refit that reads every load 400 W higher than the
+    // offline model (inside the refit envelope).
+    const ProfileBank before = bank;
+    TelemetryStore store;
+    SimTime t = 0;
+    for (int i = 0; i < 24; ++i) {
+        const double load = 0.1 + 0.8 * i / 23.0;
+        double power_w = 0.0;
+        bank.predictPowerGather(&sid, &load, 1, &power_w);
+        ServerSample sample;
+        sample.time = t;
+        sample.gpuLoad = static_cast<float>(load);
+        sample.serverPowerW = static_cast<float>(power_w + 400.0);
+        store.recordServer(sid, sample);
+        t += 10 * kMinute;
+    }
+    bank.refitPowerFromTelemetry(store);
+    ASSERT_EQ(bank.refitsAccepted(), 1u);
+
+    // Drop the row budget below the new idle draw: the zero-load
+    // floor is the binding server power limit.
+    FailureManager manager(cooling, hierarchy, dc);
+    manager.triggerPowerEmergency(0.05);
+
+    auto settled_choice = [&](TapasController &controller) {
+        std::vector<SaasInstanceRef> one;
+        one.push_back(makeInstance(1, sid, 0.5 * refProfile.goodputTps));
+        controller.configurePass(view, one);
+        // Step the idle engine past any reload it was asked for.
+        engines.back()->step(0.0, 3600.0);
+        return engines.back()->profile().config;
+    };
+    TapasController fresh(allOn(), dc, cooling, hierarchy, &bank,
+                          &perf);
+    TapasController pre_refit(allOn(), dc, cooling, hierarchy,
+                              &before, &perf);
+    const InstanceConfig want = settled_choice(fresh);
+    // The scenario discriminates: the pre-refit floor decides
+    // otherwise.
+    ASSERT_NE(settled_choice(pre_refit), want);
+    EXPECT_EQ(settled_choice(warm), want);
 }
 
 TEST_F(TapasControllerTest, ControllerWithoutProfilesPanics)

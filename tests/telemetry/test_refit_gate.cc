@@ -14,6 +14,7 @@
 #include "core/fixture.hh"
 #include "telemetry/history.hh"
 #include "telemetry/profiles.hh"
+#include "telemetry/profile_lanes.hh"
 
 namespace tapas {
 namespace {
@@ -33,7 +34,7 @@ class RefitGate : public CoreFixture
             s.time = t;
             s.gpuLoad = static_cast<float>(load);
             s.serverPowerW = static_cast<float>(
-                bank.predictServerPowerW(sid, load) + bias_w);
+                onePowerW(bank, sid, load) + bias_w);
             store.recordServer(sid, s);
             t += 10 * kMinute;
         }
@@ -44,7 +45,7 @@ class RefitGate : public CoreFixture
     {
         std::vector<double> out;
         for (const double load : {0.0, 0.25, 0.5, 0.75, 1.0})
-            out.push_back(bank.predictServerPowerW(sid, load));
+            out.push_back(onePowerW(bank, sid, load));
         return out;
     }
 };

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -86,11 +87,80 @@ TEST(PolynomialRegression, DegreeOneIsLine)
     EXPECT_NEAR(model.predict(10.0), 21.0, 1e-6);
 }
 
-TEST(SharedDesign, SolveMatchesUnbatchedFitBitwise)
+/**
+ * Reference OLS: normal equations over vector-of-vector storage,
+ * solved by Gaussian elimination with partial pivoting and the same
+ * 1e-9 ridge. Written independently of the library's flat solver, so
+ * the library's weights are checked bitwise against it.
+ */
+std::vector<double>
+referenceSolve(std::vector<std::vector<double>> A, std::vector<double> b)
 {
-    // The batched profile refits rely on this: solving against a
-    // shared design must reproduce LinearRegression::fit on the
-    // same rows exactly, for every target vector.
+    const std::size_t n = A.size();
+    for (std::size_t i = 0; i < n; ++i)
+        A[i][i] += 1e-9;
+    for (std::size_t col = 0; col < n; ++col) {
+        std::size_t pivot = col;
+        for (std::size_t r = col + 1; r < n; ++r) {
+            if (std::abs(A[r][col]) > std::abs(A[pivot][col]))
+                pivot = r;
+        }
+        std::swap(A[col], A[pivot]);
+        std::swap(b[col], b[pivot]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double factor = A[r][col] / A[col][col];
+            for (std::size_t c = col; c < n; ++c)
+                A[r][c] -= factor * A[col][c];
+            b[r] -= factor * b[col];
+        }
+    }
+    std::vector<double> w(n, 0.0);
+    for (std::size_t i = n; i-- > 0;) {
+        double acc = b[i];
+        for (std::size_t c = i + 1; c < n; ++c)
+            acc -= A[i][c] * w[c];
+        w[i] = acc / A[i][i];
+    }
+    return w;
+}
+
+/** Reference OLS fit with an intercept column prepended. */
+std::vector<double>
+referenceFit(const std::vector<std::vector<double>> &rows,
+             const std::vector<double> &y)
+{
+    const std::size_t d = rows.front().size() + 1;
+    std::vector<std::vector<double>> xtx(d,
+                                         std::vector<double>(d, 0.0));
+    std::vector<double> xty(d, 0.0);
+    std::vector<double> row(d, 0.0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        row[0] = 1.0;
+        for (std::size_t j = 0; j < rows[i].size(); ++j)
+            row[j + 1] = rows[i][j];
+        for (std::size_t a = 0; a < d; ++a) {
+            xty[a] += row[a] * y[i];
+            for (std::size_t b = 0; b < d; ++b)
+                xtx[a][b] += row[a] * row[b];
+        }
+    }
+    return referenceSolve(std::move(xtx), std::move(xty));
+}
+
+void
+expectBitwise(const std::vector<double> &got,
+              const std::vector<double> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+        EXPECT_EQ(got[k], want[k]) << "weight " << k;
+}
+
+TEST(SharedDesign, SolveMatchesReferenceBitwise)
+{
+    // The batched profile fits rely on this: solving against a
+    // shared design reproduces a from-scratch fit on the same rows
+    // exactly, for every target vector.
     std::vector<std::vector<double>> rows;
     Rng rng(11);
     for (int i = 0; i < 60; ++i)
@@ -107,22 +177,21 @@ TEST(SharedDesign, SolveMatchesUnbatchedFitBitwise)
             y.push_back(5.0 * rows[i][0] - 0.01 * rows[i][1] +
                         rng.gaussian(0.0, series + 1.0));
         }
-        LinearRegression reference;
-        reference.fit(rows, y);
+        const std::vector<double> want = referenceFit(rows, y);
         std::vector<double> batched;
         design.solve(y, batched);
-        ASSERT_EQ(batched.size(), reference.coefficients().size());
-        for (std::size_t k = 0; k < batched.size(); ++k) {
-            EXPECT_EQ(batched[k], reference.coefficients()[k])
-                << "series " << series << " weight " << k;
-        }
+        SCOPED_TRACE(series);
+        expectBitwise(batched, want);
+        std::vector<double> into(design.width());
+        design.solveInto(y.data(), into.data());
+        expectBitwise(into, want);
     }
 }
 
-TEST(SharedDesign, WideSystemFallsBackToHeapPath)
+TEST(SharedDesign, WideSystemMatchesReferenceBitwise)
 {
-    // 10 features exceeds the stack-solve width; results must still
-    // match the unbatched fit.
+    // 10 features exceeds the stack-solve width: the heap path must
+    // match the reference too.
     std::vector<std::vector<double>> rows;
     Rng rng(13);
     for (int i = 0; i < 80; ++i) {
@@ -135,13 +204,63 @@ TEST(SharedDesign, WideSystemFallsBackToHeapPath)
     for (int i = 0; i < 80; ++i)
         y.push_back(rng.uniform(0.0, 10.0));
     const SharedDesign design(rows);
-    LinearRegression reference;
-    reference.fit(rows, y);
     std::vector<double> batched;
     design.solve(y, batched);
-    ASSERT_EQ(batched.size(), reference.coefficients().size());
-    for (std::size_t k = 0; k < batched.size(); ++k)
-        EXPECT_EQ(batched[k], reference.coefficients()[k]);
+    expectBitwise(batched, referenceFit(rows, y));
+}
+
+TEST(LinearRegression, WeightsMatchReferenceBitwise)
+{
+    std::vector<std::vector<double>> X;
+    std::vector<double> y;
+    Rng rng(17);
+    for (int i = 0; i < 120; ++i) {
+        const double a = rng.uniform(-5.0, 5.0);
+        const double b = rng.uniform(0.0, 10.0);
+        X.push_back({a, b});
+        y.push_back(3.0 + 2.0 * a - 0.5 * b + rng.gaussian(0.0, 0.3));
+    }
+    LinearRegression model;
+    model.fit(X, y);
+    expectBitwise(model.coefficients(), referenceFit(X, y));
+}
+
+TEST(PolynomialRegression, WeightsMatchReferenceBitwise)
+{
+    std::vector<double> xs;
+    std::vector<double> ys;
+    std::vector<std::vector<double>> rows;
+    Rng rng(19);
+    for (int i = 0; i < 40; ++i) {
+        const double x = rng.uniform(0.0, 1.0);
+        xs.push_back(x);
+        ys.push_back(1500.0 + 900.0 * x * x + rng.gaussian(0.0, 20.0));
+        rows.push_back({x, x * x, x * x * x});
+    }
+    PolynomialRegression model(3);
+    model.fit(xs, ys);
+    expectBitwise(model.coefficients(), referenceFit(rows, ys));
+}
+
+TEST(PiecewiseLinear, WeightsMatchReferenceBitwise)
+{
+    std::vector<std::vector<double>> X;
+    std::vector<std::vector<double>> rows;
+    std::vector<double> y;
+    Rng rng(23);
+    for (int i = 0; i < 90; ++i) {
+        const double outside = rng.uniform(0.0, 40.0);
+        const double load = rng.uniform(0.0, 1.0);
+        X.push_back({outside, load});
+        // Hinge basis: x0, then one hinge per (sorted) knot, then
+        // the extra feature.
+        rows.push_back({outside, std::max(0.0, outside - 15.0),
+                        std::max(0.0, outside - 25.0), load});
+        y.push_back(18.0 + 0.4 * outside + rng.gaussian(0.0, 0.3));
+    }
+    PiecewiseLinearModel model({25.0, 15.0}, 1);
+    model.fit(X, y);
+    expectBitwise(model.coefficients(), referenceFit(rows, y));
 }
 
 TEST(PiecewiseLinear, RecoversKneeFunction)

@@ -14,6 +14,7 @@
 #include "dcsim/thermal.hh"
 #include "telemetry/history.hh"
 #include "telemetry/profiles.hh"
+#include "telemetry/profile_lanes.hh"
 #include "telemetry/templates.hh"
 
 namespace tapas {
@@ -202,8 +203,8 @@ TEST_F(ProfileBankTest, InletFitWithinOneDegree)
                         .inletTemperature(server.id,
                                           Celsius(outside), load, 0.0)
                         .value());
-                pred.push_back(bank.predictInletC(server.id, outside,
-                                                  load));
+                pred.push_back(
+                    oneInletC(bank, server.id, outside, load));
             }
         }
     }
@@ -237,7 +238,7 @@ TEST_F(ProfileBankTest, HottestGpuDominatesIndividuals)
 {
     const ServerId sid(0);
     const double hottest =
-        bank.predictHottestGpuC(sid, 25.0, 350.0);
+        oneHottestGpuC(bank, sid, 25.0, 350.0);
     for (int g = 0; g < 8; ++g)
         EXPECT_GE(hottest, bank.predictGpuTempC(sid, g, 25.0, 350.0));
 }
@@ -249,7 +250,7 @@ TEST_F(ProfileBankTest, PowerFitTracksGroundTruth)
         const double truth =
             power.serverPowerAtLoad(spec, load).value();
         const double pred =
-            bank.predictServerPowerW(ServerId(0), load);
+            onePowerW(bank, ServerId(0), load);
         EXPECT_NEAR(pred / truth, 1.0, 0.03);
     }
 }
@@ -260,7 +261,7 @@ TEST_F(ProfileBankTest, AirflowFitTracksGroundTruth)
         const double truth =
             thermal.serverAirflow(ServerId(3), load).value();
         const double pred =
-            bank.predictServerAirflowCfm(ServerId(3), load);
+            oneAirflowCfm(bank, ServerId(3), load);
         EXPECT_NEAR(pred / truth, 1.0, 0.03);
     }
 }
@@ -326,7 +327,7 @@ TEST_F(ProfileBankTest, ProfileNewServersAfterOversubscription)
     EXPECT_EQ(bank.profiledServerCount(), before + 3);
     // New server predictions work.
     const ServerId fresh(static_cast<std::uint32_t>(before));
-    EXPECT_GT(bank.predictInletC(fresh, 25.0, 0.5), 15.0);
+    EXPECT_GT(oneInletC(bank, fresh, 25.0, 0.5), 15.0);
 }
 
 TEST_F(ProfileBankTest, UnprofiledServerPanics)
@@ -334,8 +335,9 @@ TEST_F(ProfileBankTest, UnprofiledServerPanics)
     dc.addRack(RowId(0));
     const ServerId fresh(
         static_cast<std::uint32_t>(dc.serverCount() - 1));
-    EXPECT_DEATH(bank.predictInletC(fresh, 25.0, 0.5),
-                 "not profiled");
+    EXPECT_DEATH(onePowerW(bank, fresh, 0.5), "not profiled");
+    EXPECT_DEATH(oneInletC(bank, fresh, 25.0, 0.5),
+                 "profiled servers");
 }
 
 } // namespace

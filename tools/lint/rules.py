@@ -33,10 +33,10 @@ DEFAULT_EXCLUDES = (
     ]
 )
 
-# Scalar per-server fitted-model entry points that survive only for
-# tests, benches, and debug cross-checks. Decision hot loops must use
-# the batched passes (ProfileBank::predict*Batch); see the
-# scalar-predict-deprecated note at the definitions.
+# Scalar per-server fitted-model entry points. predictGpuTempC is the
+# one that still exists (per-GPU queries in benches and tests); the
+# others are deleted and stay banned so they cannot come back.
+# Decision hot loops must use the batched ProfileBank::predict* passes.
 _SCALAR_DEPRECATED = (
     "predictInletC",
     "predictGpuTempC",
