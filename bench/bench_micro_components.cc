@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -230,6 +231,63 @@ BM_ConfiguratorChoice(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConfiguratorChoice);
+
+void
+BM_ConfiguratorPass(benchmark::State &state)
+{
+    // One configure pass in fleet_week's shape: ~190 instances at
+    // ~80 distinct demands (800-3200 tokens/s, log-uniform) deciding
+    // on one group table under loose power and tight-ish
+    // temperature/airflow limits. Each incumbent is the instance's
+    // own decision at 12% lower demand, as after a demand move.
+    World &w = world();
+    InstanceConfigurator configurator(w.perf, TapasPolicyConfig{});
+    struct Instance
+    {
+        ServerId server;
+        double demandTps;
+        ConfigProfile current;
+        InstanceLimits limits;
+    };
+    Rng rng(11);
+    std::vector<double> levels(80);
+    for (double &level : levels)
+        level = std::exp(rng.uniform(std::log(800.0), std::log(3200.0)));
+    const ConfigProfile reference = w.perf.profile(referenceConfig());
+    std::vector<Instance> instances;
+    for (std::uint32_t i = 0; i < 190; ++i) {
+        Instance inst{ServerId((2 * i) %
+                               static_cast<std::uint32_t>(
+                                   w.dc.serverCount())),
+                      levels[static_cast<std::size_t>(
+                          rng.uniformInt(0, 79))],
+                      reference, InstanceLimits{}};
+        inst.limits.maxServerPowerW = rng.uniform(7400.0, 13500.0);
+        inst.limits.maxGpuTempC = 77.0;
+        inst.limits.maxAirflowCfm = rng.uniform(1300.0, 2000.0);
+        inst.limits.inletC = rng.uniform(29.4, 30.4);
+        inst.current = configurator
+                           .choose(inst.server, w.bank, inst.limits,
+                                   0.88 * inst.demandTps, 0.999,
+                                   reference)
+                           .profile;
+        instances.push_back(inst);
+    }
+    InstanceConfigurator::GroupTable table;
+    for (auto _ : state) {
+        table.clear();
+        for (const Instance &inst : instances) {
+            benchmark::DoNotOptimize(configurator.choose(
+                inst.server, w.bank, inst.limits, inst.demandTps,
+                0.999, inst.current, &table));
+        }
+    }
+    state.counters["per_decision"] = benchmark::Counter(
+        static_cast<double>(instances.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ConfiguratorPass);
 
 void
 BM_InletModelEval(benchmark::State &state)

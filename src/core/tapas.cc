@@ -84,15 +84,16 @@ TapasController::configurePass(
 
     // Fleet-wide batched passes feed the fixed-draw accumulation and
     // the per-instance limits below: one power/airflow pass at the
-    // unreconfigurable loads, one inlet pass at current ambient, and
-    // one power/airflow floor pass at zero load.
+    // unreconfigurable loads and one inlet pass at current ambient.
+    // An instance's server carries zero fixed load, so the same pass
+    // also yields its zero-load power/airflow floor: the current
+    // fitted models (a power refit replaces them between passes) at
+    // load 0.
     const std::size_t servers = layout.serverCount();
     fixedLoadScratch.resize(servers);
     fixedPowerScratch.resize(servers);
     fixedAirflowScratch.resize(servers);
     inletScratch.resize(servers);
-    zeroPowerScratch.resize(servers);
-    zeroAirflowScratch.resize(servers);
     for (std::size_t s = 0; s < servers; ++s) {
         fixedLoadScratch[s] = view.occupied[s] && !saas_server[s]
             ? view.serverLoads[s]
@@ -104,12 +105,6 @@ TapasController::configurePass(
                                   fixedAirflowScratch.data());
     profiles->predictInletBatch(view.outsideC, view.dcLoadFrac,
                                 servers, inletScratch.data());
-    // The zero-load floors follow the current fitted models, which
-    // a power refit replaces between passes.
-    profiles->predictPowerUniformBatch(0.0, servers,
-                                       zeroPowerScratch.data());
-    profiles->predictAirflowUniformBatch(0.0, servers,
-                                         zeroAirflowScratch.data());
 
     for (const Server &server : layout.servers()) {
         if (saas_server[server.id.index]) {
@@ -143,27 +138,11 @@ TapasController::configurePass(
             cooling.effectiveProvision(aisle.id).value();
     }
 
-    // Process instances grouped by demand: the candidate walk's
-    // operating points depend only on (candidate, demand), so
-    // equal-demand instances (VMs of one endpoint under symmetric
-    // routing) reuse the memo below instead of re-solving the perf
-    // model. Decisions are per-instance independent, so the order
-    // change is unobservable; the VM-id tie-break makes the
-    // comparator a total order, so plain sort is deterministic —
-    // stable_sort is not an option here, it allocates a merge
-    // buffer (stl_tempbuf) on every pass.
-    sortedInstancesScratch.assign(instances.begin(),
-                                  instances.end());
-    std::sort(sortedInstancesScratch.begin(),
-              sortedInstancesScratch.end(),
-              [](const SaasInstanceRef &a,
-                 const SaasInstanceRef &b) {
-                  if (a.demandTps != b.demandTps)
-                      return a.demandTps < b.demandTps;
-                  return a.id.index < b.id.index;
-              });
-
-    for (const SaasInstanceRef &inst : sortedInstancesScratch) {
+    // Instances at one demand share a candidate group (operating
+    // points depend only on candidate and demand). Decisions are
+    // per-instance independent, so they run in the caller's order.
+    groupTableScratch.clear();
+    for (const SaasInstanceRef &inst : instances) {
         if (inst.engine->reconfiguring())
             continue;
         // Freeze reconfiguration on quarantined servers: every
@@ -185,7 +164,7 @@ TapasController::configurePass(
         limits.maxServerPowerW = std::max(
             (row_budget - row_fixed_w[server.row.index]) /
                 saas_in_row,
-            zeroPowerScratch[inst.server.index]);
+            fixedPowerScratch[inst.server.index]);
 
         const double aisle_budget =
             aisleProvisionScratch[server.aisle.index];
@@ -194,7 +173,7 @@ TapasController::configurePass(
         limits.maxAirflowCfm = std::max(
             (aisle_budget - aisle_fixed_cfm[server.aisle.index]) /
                 saas_in_aisle,
-            zeroAirflowScratch[inst.server.index]);
+            fixedAirflowScratch[inst.server.index]);
 
         limits.maxGpuTempC =
             spec.throttleTemp.value() - cfg.gpuTempMarginC;
@@ -203,7 +182,7 @@ TapasController::configurePass(
         const ConfigDecision decision = configurator->choose(
             inst.server, *profiles, limits, inst.demandTps,
             quality_floor, inst.engine->profile(),
-            &opCacheScratch);
+            &groupTableScratch);
         if (!decision.changed)
             continue;
         // Dwell gate: quality-restoring reloads wait out the dwell

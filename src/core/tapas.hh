@@ -127,20 +127,16 @@ class TapasController
     std::vector<double> fixedPowerScratch;  // ckpt-skip(scratch): per-pass
     std::vector<double> fixedAirflowScratch; // ckpt-skip(scratch): per-pass
     std::vector<double> inletScratch;       // ckpt-skip(scratch): per-pass
-    std::vector<double> zeroPowerScratch;   // ckpt-skip(scratch): per-pass
-    std::vector<double> zeroAirflowScratch; // ckpt-skip(scratch): per-pass
     /** Per-row/per-aisle effective provisions, hoisted out of the
      *  per-instance limit computation (one call per row/aisle per
      *  pass instead of one per instance). */
     std::vector<double> rowProvisionScratch;   // ckpt-skip(scratch): per-pass
     std::vector<double> aisleProvisionScratch; // ckpt-skip(scratch): per-pass
-    /** Instances sorted by demand so equal-demand runs share the
-     *  configurator's operating-point memo (instance order does not
-     *  affect decisions: each is independent). */
-    // ckpt-skip(scratch): rebuilt from the caller's list each pass
-    std::vector<SaasInstanceRef> sortedInstancesScratch;
-    // ckpt-skip(scratch): per-pass operating-point memo
-    InstanceConfigurator::OpCache opCacheScratch;
+    /** Per-demand candidate groups shared by the pass's instances
+     *  (cleared each pass; decisions are per-instance independent,
+     *  so instances are decided in the caller's order). */
+    // ckpt-skip(scratch): per-pass candidate groups
+    InstanceConfigurator::GroupTable groupTableScratch;
 
     // ckpt-skip(constant): rebuilt from policy flags at construction
     std::unique_ptr<VmAllocator> alloc;

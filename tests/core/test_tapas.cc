@@ -5,8 +5,10 @@
 
 #include "fixture.hh"
 
+#include <algorithm>
 #include <memory>
 
+#include "common/serialize.hh"
 #include "core/failure.hh"
 #include "core/tapas.hh"
 #include "llm/engine.hh"
@@ -172,6 +174,77 @@ TEST_F(TapasControllerTest, ConfigurePassSkipsReconfiguringEngines)
     ASSERT_TRUE(engines[0]->reconfiguring());
     controller.configurePass(view, instances);
     EXPECT_EQ(controller.reconfigsIssued(), 0u);
+}
+
+TEST_F(TapasControllerTest, ConfigurePassIsOrderIndependent)
+{
+    // Decisions are per-instance independent, so the pass must not
+    // depend on the order of its instance list: the same instances
+    // in two orders end with equal engine profiles, reconfig counts
+    // and dwell tables (the controller checkpoint), through a power
+    // emergency (reload downgrades) and its recovery (dwell-gated
+    // upgrades). Demands repeat, so instances share candidate groups.
+    const double g = refProfile.goodputTps;
+    const double demands[] = {0.9 * g, 0.5 * g, 100.0, 0.9 * g,
+                              0.3 * g, 100.0};
+    std::vector<SaasInstanceRef> forward;
+    std::vector<SaasInstanceRef> shuffled;
+    std::uint32_t id = 0;
+    for (const RowId row : {RowId(0), RowId(1)}) {
+        for (ServerId sid : dc.row(row).servers) {
+            const double demand =
+                demands[id % std::size(demands)];
+            forward.push_back(makeInstance(id, sid, demand));
+            shuffled.push_back(makeInstance(id, sid, demand));
+            view.serverLoads[sid.index] = 0.9;
+            ++id;
+        }
+    }
+    // Reverse, then interleave the halves.
+    std::reverse(shuffled.begin(), shuffled.end());
+    std::vector<SaasInstanceRef> order;
+    for (std::size_t i = 0; i < shuffled.size() / 2; ++i) {
+        order.push_back(shuffled[i]);
+        order.push_back(shuffled[shuffled.size() / 2 + i]);
+    }
+    if (shuffled.size() % 2 != 0)
+        order.push_back(shuffled.back());
+    ASSERT_EQ(order.size(), forward.size());
+
+    TapasController a(allOn(), dc, cooling, hierarchy, &bank, &perf);
+    TapasController b(allOn(), dc, cooling, hierarchy, &bank, &perf);
+    FailureManager manager(cooling, hierarchy, dc);
+    auto run_both = [&]() {
+        a.configurePass(view, forward);
+        b.configurePass(view, order);
+        for (std::size_t i = 0; i < forward.size(); ++i) {
+            forward[i].engine->step(0.0, 3600.0);
+            shuffled[i].engine->step(0.0, 3600.0);
+        }
+    };
+    manager.triggerPowerEmergency(0.55);
+    run_both();
+    const std::uint64_t emergency_reconfigs = a.reconfigsIssued();
+    manager.clearAll();
+    view.now += 600;
+    run_both();
+
+    EXPECT_GT(emergency_reconfigs, 0u);
+    EXPECT_EQ(a.reconfigsIssued(), b.reconfigsIssued());
+    for (std::size_t i = 0; i < forward.size(); ++i) {
+        // shuffled[] is reversed: instance i sits at the mirror slot.
+        const SaasInstanceRef &twin =
+            shuffled[shuffled.size() - 1 - i];
+        ASSERT_EQ(twin.id, forward[i].id);
+        EXPECT_EQ(forward[i].engine->profile().config,
+                  twin.engine->profile().config)
+            << "instance " << i;
+    }
+    Archive ar_a = Archive::writer();
+    Archive ar_b = Archive::writer();
+    a.checkpointState(ar_a);
+    b.checkpointState(ar_b);
+    EXPECT_EQ(ar_a.buffer(), ar_b.buffer());
 }
 
 TEST_F(TapasControllerTest, AcceptedRefitMovesZeroLoadFloors)
