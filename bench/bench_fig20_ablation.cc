@@ -11,52 +11,15 @@
  */
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "common/table.hh"
 #include "sim/cluster.hh"
 #include "sim/scenario.hh"
+#include "sim/sweep.hh"
 
 using namespace tapas;
-
-namespace {
-
-struct Variant
-{
-    const char *name;
-    bool place;
-    bool route;
-    bool config;
-};
-
-const Variant kVariants[] = {
-    {"Baseline", false, false, false},
-    {"Place", true, false, false},
-    {"Route", false, true, false},
-    {"Config", false, false, true},
-    {"Place+Route", true, true, false},
-    {"Place+Config", true, false, true},
-    {"Route+Config", false, true, true},
-    {"TAPAS", true, true, true},
-};
-
-struct Cell
-{
-    double maxTemp;
-    double peakPower;
-};
-
-Cell
-run(const SimConfig &base, const Variant &variant)
-{
-    ClusterSim sim(
-        base.withPolicies(variant.place, variant.route,
-                          variant.config));
-    sim.run();
-    return {sim.metrics().maxGpuTempC.mean(),
-            sim.metrics().peakRowPowerFrac.mean()};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -73,40 +36,50 @@ main(int argc, char **argv)
     cfg.horizon = 2 * kDay;
 
     const double mixes[] = {1.0, 0.75, 0.5, 0.25, 0.0};
+    const char *const mix_names[] = {"SaaS", "75/25", "50/50",
+                                     "25/75", "IaaS"};
+    constexpr int kQuickMix = 2;
 
     std::cout << "Mean max temperature / mean peak row power, "
                  "normalized to Baseline per column:\n\n";
     ConsoleTable table({"policy", "SaaS", "75/25", "50/50", "25/75",
                         "IaaS"});
 
-    // Collect the full matrix.
-    Cell results[8][5];
-    Cell base_cells[5];
+    // One job per (mix, policy), fanned across the pool; outcomes
+    // come back mix-major in job order.
+    std::vector<SweepJob> mix_jobs;
     for (int m = 0; m < 5; ++m) {
-        if (quick && m != 2)
+        if (quick && m != kQuickMix)
             continue;
-        SimConfig mix_cfg = cfg;
-        mix_cfg.vmTrace.saasFraction = mixes[m];
-        for (int v = 0; v < 8; ++v) {
-            results[v][m] = run(mix_cfg, kVariants[v]);
-            if (v == 0)
-                base_cells[m] = results[0][m];
-        }
+        SweepJob job{mix_names[m], cfg};
+        job.config.vmTrace.saasFraction = mixes[m];
+        mix_jobs.push_back(job);
     }
+    const std::vector<PolicyVariant> policies =
+        ScenarioSweep::ablationMatrix();
+    ThreadPool pool;
+    const std::vector<SweepOutcome> outcomes = ScenarioSweep(pool).run(
+        ScenarioSweep::crossPolicies(mix_jobs, policies));
 
-    auto cell_text = [&](int v, int m) {
-        if (quick && m != 2)
+    auto cell_text = [&](std::size_t v, int m) {
+        if (quick && m != kQuickMix)
             return std::string("-");
+        const std::size_t column =
+            quick ? 0 : static_cast<std::size_t>(m);
+        const SimMetrics &cell =
+            outcomes[column * policies.size() + v].metrics;
+        const SimMetrics &base =
+            outcomes[column * policies.size()].metrics;
         const double temp =
-            results[v][m].maxTemp / base_cells[m].maxTemp;
-        const double power =
-            results[v][m].peakPower / base_cells[m].peakPower;
+            cell.maxGpuTempC.mean() / base.maxGpuTempC.mean();
+        const double power = cell.peakRowPowerFrac.mean() /
+            base.peakRowPowerFrac.mean();
         return ConsoleTable::num(temp, 3) + "/" +
             ConsoleTable::num(power, 3);
     };
 
-    for (int v = 0; v < 8; ++v) {
-        table.addRow({kVariants[v].name, cell_text(v, 0),
+    for (std::size_t v = 0; v < policies.size(); ++v) {
+        table.addRow({policies[v].name, cell_text(v, 0),
                       cell_text(v, 1), cell_text(v, 2),
                       cell_text(v, 3), cell_text(v, 4)});
     }

@@ -56,7 +56,6 @@ struct World
             vm.kind = s % 4 == 0 ? VmKind::IaaS : VmKind::SaaS;
             vm.server = ServerId(static_cast<std::uint32_t>(s));
             vm.predictedPeakLoad = rng.uniform(0.4, 1.0);
-            vm.currentLoad = rng.uniform(0.2, 0.9);
             view.vms.push_back(vm);
             view.occupied[s] = true;
         }

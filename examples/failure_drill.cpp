@@ -49,9 +49,9 @@ hourlyDrill(const SimConfig &cfg)
             {std::to_string(t / kHour) + ":00",
              derated ? ConsoleTable::pct(engine->chillerFloor())
                      : std::string("-"),
-             sim.failures().active() == EmergencyKind::None
-                 ? "-"
-                 : "THERMAL",
+             sim.coolingPlant().anyFailure() ? "THERMAL"
+                 : sim.powerHierarchy().anyFailure() ? "POWER"
+                                                      : "-",
              ConsoleTable::num(m.peakRowPowerFrac.valueAt(i), 3),
              ConsoleTable::num(m.saasServedTps.valueAt(i), 0),
              ConsoleTable::num(m.saasQuality.valueAt(i), 3),

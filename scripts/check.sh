@@ -125,9 +125,9 @@ cmake --build build-tsan -j
 
 echo "== threadpool/sweep + fault + request-pipeline suites (TSan) =="
 # The suites that actually fan work across thread pools: the
-# parallel scenario sweeps (property suite), the fault-engine and
-# failure-manager suites (fault drills construct simulators on
-# worker threads), the fault-drill integration test, the
+# parallel scenario sweeps (property suite), the fault-engine
+# suite (fault drills construct simulators on worker threads), the
+# fault-drill integration test, the
 # concurrent perf-model solves, the TaskGroup fork-join suite, the
 # request generator (the next window's arrivals are generated on a
 # pool task while the current window is read), and the
@@ -139,7 +139,7 @@ echo "== threadpool/sweep + fault + request-pipeline suites (TSan) =="
 # run on the simulator's thread.
 tsan_log=$(mktemp)
 (cd build-tsan && ctest --output-on-failure -j --no-tests=error \
-    -R 'property_test_sweeps|test_failure|test_faults|fault_drill|test_perf_contention|test_threadpool|test_requests|test_request_pipeline') \
+    -R 'property_test_sweeps|test_faults|fault_drill|test_perf_contention|test_threadpool|test_requests|test_request_pipeline') \
     | tee "$tsan_log"
 fail_on_skipped "$tsan_log"
 

@@ -46,6 +46,9 @@ TapasAllocator::peakLoadByServer(const ClusterView &view,
 {
     peaks.assign(view.layout->serverCount(), 0.0);
     for (const PlacedVmView &vm : view.vms) {
+        tapas_assert(view.occupied[vm.server.index],
+                     "view VM %u on unoccupied server %u",
+                     vm.id.index, vm.server.index);
         double peak = vm.predictedPeakLoad;
         if (vm.kind == VmKind::SaaS)
             peak = std::min(peak, kSaasControllableLoad);
@@ -98,11 +101,8 @@ TapasAllocator::predictedRowPower(const ClusterView &view, RowId row,
     for (std::size_t i = 0; i < servers.size(); ++i) {
         const ServerId sid = servers[i];
         double load = peaks[sid.index];
-        const bool is_occupied = view.occupied[sid.index];
         if (extra_server.valid() && sid == extra_server)
             load = std::max(load, extra_peak_load);
-        else if (!is_occupied)
-            load = 0.0;
         loads[i] = load;
     }
     view.profiles->predictPowerGather(servers.data(), loads.data(),
@@ -159,10 +159,6 @@ TapasAllocator::place(const PlacementRequest &request,
     // arrays; per candidate only its own delta changes (keeps
     // place() linear).
     peakLoadByServer(view, peaksScratch);
-    for (std::size_t s = 0; s < servers; ++s) {
-        if (!view.occupied[s])
-            peaksScratch[s] = 0.0;
-    }
     airflowZeroScratch.resize(servers);
     airflowReqScratch.resize(servers);
     powerZeroScratch.resize(servers);

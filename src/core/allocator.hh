@@ -85,7 +85,9 @@ class TapasAllocator : public VmAllocator
      * Per-server predicted peak loads from the placed VM views,
      * SaaS counted at the controllable floor (the accounting every
      * budget validator shares — allocator admission, migration
-     * donor ranking, and the what-if helpers below).
+     * donor ranking, and the what-if helpers below). Every server
+     * that holds no view VM reads 0, because each view VM sits on an
+     * occupied server.
      */
     static void peakLoadByServer(const ClusterView &view,
                                  std::vector<double> &out);

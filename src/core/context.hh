@@ -27,11 +27,8 @@ struct PlacedVmView
     VmKind kind = VmKind::IaaS;
     ServerId server;
     EndpointId endpoint;
-    CustomerId customer;
     /** Predicted peak load of this VM (history templates or 1.0). */
     double predictedPeakLoad = 1.0;
-    /** Current observed load fraction. */
-    double currentLoad = 0.0;
 };
 
 /** Snapshot of cluster state for placement and risk decisions. */

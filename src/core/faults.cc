@@ -5,6 +5,8 @@
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
+#include "dcsim/power.hh"
+#include "dcsim/thermal.hh"
 #include "telemetry/history.hh"
 
 namespace tapas {
@@ -217,29 +219,6 @@ FaultEngine::chillerFloor() const
     return frac;
 }
 
-void
-FaultEngine::applyAisle(std::uint32_t aisle,
-                        FailureManager &mgr) const
-{
-    double frac = chillerFloor();
-    for (std::uint32_t idx : aisleInstances[aisle]) {
-        if (instances[idx].active)
-            frac = std::min(frac, instances[idx].remainingFrac);
-    }
-    mgr.setAisleDerate(AisleId(aisle), frac);
-}
-
-void
-FaultEngine::applyUps(std::uint32_t ups, FailureManager &mgr) const
-{
-    double frac = 1.0;
-    for (std::uint32_t idx : upsInstances[ups]) {
-        if (instances[idx].active)
-            frac = std::min(frac, instances[idx].remainingFrac);
-    }
-    mgr.setUpsDerate(UpsId(ups), frac);
-}
-
 double
 FaultEngine::composedAisleDerate(AisleId id) const
 {
@@ -263,7 +242,8 @@ FaultEngine::composedUpsDerate(UpsId id) const
 }
 
 void
-FaultEngine::advanceTo(SimTime now, FailureManager &mgr)
+FaultEngine::advanceTo(SimTime now, CoolingPlant &cooling,
+                       PowerHierarchy &power)
 {
     if (cursor >= events.size() || events[cursor].time > now)
         return;
@@ -320,20 +300,20 @@ FaultEngine::advanceTo(SimTime now, FailureManager &mgr)
 
     if (chiller_changed) {
         // The chiller floor feeds every aisle's composition.
-        for (std::size_t a = 0; a < aisleInstances.size(); ++a)
-            applyAisle(static_cast<std::uint32_t>(a), mgr);
-        for (std::uint32_t a : dirtyAisles)
-            aisleDirty[a] = 0;
-        dirtyAisles.clear();
-    } else {
-        for (std::uint32_t a : dirtyAisles) {
-            applyAisle(a, mgr);
-            aisleDirty[a] = 0;
+        for (std::size_t a = 0; a < aisleInstances.size(); ++a) {
+            const AisleId id(static_cast<std::uint32_t>(a));
+            cooling.setAhuDerate(id, composedAisleDerate(id));
         }
-        dirtyAisles.clear();
     }
+    for (std::uint32_t a : dirtyAisles) {
+        if (!chiller_changed)
+            cooling.setAhuDerate(AisleId(a),
+                                 composedAisleDerate(AisleId(a)));
+        aisleDirty[a] = 0;
+    }
+    dirtyAisles.clear();
     for (std::uint32_t u : dirtyUpses) {
-        applyUps(u, mgr);
+        power.setUpsDerate(UpsId(u), composedUpsDerate(UpsId(u)));
         upsDirty[u] = 0;
     }
     dirtyUpses.clear();

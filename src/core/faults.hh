@@ -13,9 +13,10 @@
  * replication order) and replays it as the simulation advances:
  *
  *  - Component faults derate the cooling/power plants through
- *    FailureManager's absolute setters. Overlapping faults on one
- *    component compose by minimum; repairs restore exact design
- *    capacity.
+ *    their absolute setters (CoolingPlant::setAhuDerate,
+ *    PowerHierarchy::setUpsDerate), which own the derate state.
+ *    Overlapping faults on one component compose by minimum in the
+ *    engine; repairs restore exact design capacity.
  *  - Sensor faults corrupt only the *observation* path (the GPU-power
  *    vector handed to the risk assessor and the telemetry samples),
  *    never the ground-truth physics: dropped samples, stuck-at
@@ -34,12 +35,13 @@
 
 #include "common/random.hh"
 #include "common/types.hh"
-#include "core/failure.hh"
 #include "dcsim/layout.hh"
 
 namespace tapas {
 
 class Archive;
+class CoolingPlant;
+class PowerHierarchy;
 struct ServerSample;
 
 /** Component class a fault applies to. */
@@ -135,7 +137,7 @@ struct FaultPlan
  * Deterministic replay of a materialized fault timeline. Construction
  * expands the plan into concrete fault instances and a sorted event
  * list; advanceTo() is called once per step and applies component
- * state changes through the FailureManager. Sensor corruption is
+ * state changes to the cooling and power plants. Sensor corruption is
  * queried by the observation paths (risk refresh, telemetry
  * recording) — the engine never touches ground truth.
  */
@@ -145,8 +147,12 @@ class FaultEngine
     FaultEngine(const FaultPlan &plan, const DatacenterLayout &layout,
                 SimTime horizon, std::uint64_t seed);
 
-    /** Process every fault transition with time <= now. */
-    void advanceTo(SimTime now, FailureManager &mgr);
+    /**
+     * Process every fault transition with time <= now and set each
+     * touched aisle's and UPS's composed derate on the plants.
+     */
+    void advanceTo(SimTime now, CoolingPlant &cooling,
+                   PowerHierarchy &power);
 
     /** Any AHU/UPS/chiller fault currently active. */
     bool anyComponentFaultActive() const
@@ -286,8 +292,6 @@ class FaultEngine
                             std::uint64_t stream_seed,
                             const FaultPlan &plan);
     void expandScripted(const ScriptedFault &fault, SimTime horizon);
-    void applyAisle(std::uint32_t aisle, FailureManager &mgr) const;
-    void applyUps(std::uint32_t ups, FailureManager &mgr) const;
     FaultInstance *activeSensorInstance(ServerId id);
 };
 

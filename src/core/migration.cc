@@ -11,15 +11,11 @@ MigrationPlanner::rowPeakPowers(const ClusterView &view)
 {
     const DatacenterLayout &layout = *view.layout;
     // Shared per-server peak accounting (SaaS at the controllable
-    // floor), unoccupied servers zeroed, one fleet-wide batched
+    // floor, unoccupied servers at 0), one fleet-wide batched
     // power pass, then a per-row accumulation — the same values
     // TapasAllocator::predictedRowPower produces row by row, without
     // the per-row fleet walks.
     TapasAllocator::peakLoadByServer(view, peaksScratch);
-    for (std::size_t s = 0; s < peaksScratch.size(); ++s) {
-        if (!view.occupied[s])
-            peaksScratch[s] = 0.0;
-    }
     powerScratch.resize(layout.serverCount());
     view.profiles->predictPowerBatch(peaksScratch.data(),
                                      layout.serverCount(),

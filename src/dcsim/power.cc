@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "dcsim/thermal.hh"
 
 namespace tapas {
@@ -81,7 +82,6 @@ PowerHierarchy::PowerHierarchy(const DatacenterLayout &layout_,
 {
     rowProvisionW.resize(layout.rowCount(), 0.0);
     upsProvisionW.resize(layout.upsCount(), 0.0);
-    upsFailed.resize(layout.upsCount(), false);
     upsRemainingFrac.resize(layout.upsCount(), 1.0);
 
     const double row_factor = model.config().rowProvisionFactor;
@@ -142,35 +142,23 @@ PowerHierarchy::totalProvision() const
 }
 
 void
-PowerHierarchy::failUps(UpsId id, double remaining_frac)
+PowerHierarchy::setUpsDerate(UpsId id, double frac)
 {
-    tapas_assert(id.index < upsFailed.size(), "unknown UPS %u",
+    tapas_assert(id.index < upsRemainingFrac.size(), "unknown UPS %u",
                  id.index);
-    tapas_assert(remaining_frac > 0.0 && remaining_frac <= 1.0,
-                 "derating fraction must be in (0,1]");
-    upsFailed[id.index] = true;
-    upsRemainingFrac[id.index] = remaining_frac;
-    recomputeDerating();
-}
-
-void
-PowerHierarchy::restoreUps(UpsId id)
-{
-    tapas_assert(id.index < upsFailed.size(), "unknown UPS %u",
-                 id.index);
-    upsFailed[id.index] = false;
-    upsRemainingFrac[id.index] = 1.0;
+    tapas_assert(frac > 0.0, "derate fraction must be positive");
+    upsRemainingFrac[id.index] = std::min(frac, 1.0);
     recomputeDerating();
 }
 
 void
 PowerHierarchy::recomputeDerating()
 {
+    // Healthy units sit at 1.0, so the minimum over every unit is
+    // the minimum over the failed ones.
     double frac = 1.0;
-    for (std::size_t i = 0; i < upsFailed.size(); ++i) {
-        if (upsFailed[i])
-            frac = std::min(frac, upsRemainingFrac[i]);
-    }
+    for (double unit : upsRemainingFrac)
+        frac = std::min(frac, unit);
     deratingFrac = frac;
 }
 
@@ -185,11 +173,23 @@ PowerHierarchy::upsDerate(UpsId id) const
 bool
 PowerHierarchy::anyFailure() const
 {
-    for (bool failed : upsFailed) {
-        if (failed)
-            return true;
+    return deratingFrac < 1.0;
+}
+
+void
+PowerHierarchy::checkpointState(Archive &ar)
+{
+    ar.podVector(upsRemainingFrac);
+    if (ar.writing())
+        return;
+    bool valid = upsRemainingFrac.size() == layout.upsCount();
+    for (double frac : upsRemainingFrac)
+        valid = valid && frac > 0.0 && frac <= 1.0;
+    if (!valid) {
+        ar.fail();
+        upsRemainingFrac.assign(layout.upsCount(), 1.0);
     }
-    return false;
+    recomputeDerating();
 }
 
 PowerAssessment

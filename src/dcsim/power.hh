@@ -21,6 +21,8 @@
 
 namespace tapas {
 
+class Archive;
+
 /** Tunable constants of the ground-truth power model. */
 struct PowerConfig
 {
@@ -138,19 +140,18 @@ class PowerHierarchy
     Watts totalProvision() const;
 
     /**
-     * Fail a UPS: per the paper's emergency semantics, the remaining
-     * units absorb its load and every row's effective budget drops to
-     * the given fraction (75% in the paper's 4N/3 design). The
-     * fraction is stored per UPS (absolute, latest call wins for that
-     * unit); with several units down the datacenter-wide derate is
-     * the minimum over the failed units, so restores are exact — no
-     * compounding across overlapping failures.
+     * Set a UPS's remaining fraction: per the paper's emergency
+     * semantics, the remaining units absorb a failed unit's load and
+     * every row's effective budget drops to the given fraction (75%
+     * in the paper's 4N/3 design). Absolute per unit: the latest call
+     * wins, and a fraction >= 1 repairs the unit. The fraction must
+     * be positive. With several units down the datacenter-wide
+     * derate is the minimum over the failed units, so restores are
+     * exact — no compounding across overlapping failures.
      */
-    void failUps(UpsId id, double remaining_frac = 0.75);
+    void setUpsDerate(UpsId id, double frac);
 
-    /** Restore a failed UPS and recompute the effective derate. */
-    void restoreUps(UpsId id);
-
+    /** True if any UPS runs below full capacity. */
     bool anyFailure() const;
 
     /** Stored remaining fraction of a UPS (1.0 when healthy). */
@@ -158,6 +159,9 @@ class PowerHierarchy
 
     /** Datacenter-wide derate: min over failed units, 1.0 if none. */
     double datacenterDerate() const { return deratingFrac; }
+
+    /** Serialize/restore the per-UPS derates. */
+    void checkpointState(Archive &ar);
 
     /**
      * Aggregate per-server draws up the hierarchy and flag every
@@ -175,14 +179,18 @@ class PowerHierarchy
                 PowerAssessment &out) const;
 
   private:
-    const DatacenterLayout &layout;
+    const DatacenterLayout &layout; // ckpt-skip(constant): plant wiring
+    // ckpt-skip(constant): row budgets frozen at construction
     std::vector<double> rowProvisionW;
+    // ckpt-skip(constant): UPS budgets frozen at construction
     std::vector<double> upsProvisionW;
-    std::vector<bool> upsFailed;
-    /** Per-UPS remaining fraction while failed (1.0 otherwise). */
+    /** Per-UPS remaining fraction; < 1 marks the unit failed. */
     std::vector<double> upsRemainingFrac;
     /** Cached row -> UPS index (avoids PDU hops in assess()). */
+    // ckpt-skip(constant): layout wiring
     std::vector<std::uint32_t> rowUps;
+    // ckpt-skip(derived): min of upsRemainingFrac, recomputed on
+    // restore
     double deratingFrac = 1.0;
 
     void recomputeDerating();

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace tapas {
 
@@ -354,17 +355,20 @@ CoolingPlant::effectiveProvision(AisleId id) const
 }
 
 void
-CoolingPlant::failAhu(AisleId id, double remaining_frac)
+CoolingPlant::setAhuDerate(AisleId id, double frac)
 {
-    tapas_assert(remaining_frac > 0.0 && remaining_frac <= 1.0,
-                 "derating fraction must be in (0,1]");
-    deratingFrac[id.index] = remaining_frac;
+    tapas_assert(id.index < deratingFrac.size(), "unknown aisle %u",
+                 id.index);
+    tapas_assert(frac > 0.0, "derate fraction must be positive");
+    deratingFrac[id.index] = std::min(frac, 1.0);
 }
 
-void
-CoolingPlant::restoreAhu(AisleId id)
+double
+CoolingPlant::ahuDerate(AisleId id) const
 {
-    deratingFrac[id.index] = 1.0;
+    tapas_assert(id.index < deratingFrac.size(), "unknown aisle %u",
+                 id.index);
+    return deratingFrac[id.index];
 }
 
 bool
@@ -375,6 +379,21 @@ CoolingPlant::anyFailure() const
             return true;
     }
     return false;
+}
+
+void
+CoolingPlant::checkpointState(Archive &ar)
+{
+    ar.podVector(deratingFrac);
+    if (ar.writing())
+        return;
+    bool valid = deratingFrac.size() == layout.aisleCount();
+    for (double frac : deratingFrac)
+        valid = valid && frac > 0.0 && frac <= 1.0;
+    if (!valid) {
+        ar.fail();
+        deratingFrac.assign(layout.aisleCount(), 1.0);
+    }
 }
 
 Cfm

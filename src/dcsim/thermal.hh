@@ -34,6 +34,8 @@
 
 namespace tapas {
 
+class Archive;
+
 /** Tunable constants of the ground-truth thermal model. */
 struct ThermalConfig
 {
@@ -220,17 +222,21 @@ class CoolingPlant
     Cfm effectiveProvision(AisleId id) const;
 
     /**
-     * Degrade an aisle's AHU group to the given fraction of design
-     * airflow (paper's thermal emergency: 90%). Whole-plant failures
-     * call this for every aisle.
+     * Set an aisle's AHU group to the given fraction of design
+     * airflow (paper's thermal emergency: 90%). Absolute: the latest
+     * call wins, and a fraction >= 1 restores exact design capacity.
+     * The fraction must be positive.
      */
-    void failAhu(AisleId id, double remaining_frac);
+    void setAhuDerate(AisleId id, double frac);
 
-    /** Restore an aisle's AHU group to full provisioning. */
-    void restoreAhu(AisleId id);
+    /** Current derate of an aisle (1.0 = design capacity). */
+    double ahuDerate(AisleId id) const;
 
     /** True if any aisle currently runs derated. */
     bool anyFailure() const;
+
+    /** Serialize/restore the per-aisle derates. */
+    void checkpointState(Archive &ar);
 
     /**
      * Airflow overdraw fraction for an aisle given each member
@@ -265,19 +271,26 @@ class CoolingPlant
     double cachedOverdrawFraction(AisleId id) const;
 
   private:
-    const DatacenterLayout &layout;
-    const ThermalModel &thermal;
+    const DatacenterLayout &layout; // ckpt-skip(constant): plant wiring
+    const ThermalModel &thermal;    // ckpt-skip(constant): plant wiring
+    // ckpt-skip(constant): design airflow frozen at construction
     std::vector<double> provisionCfm;
+    /** Per-aisle remaining fraction of design airflow, <= 1. */
     std::vector<double> deratingFrac;
 
     /** Per-aisle demand with every fan at idle duty. */
+    // ckpt-skip(derived): fan curves of the layout's servers
     std::vector<double> baseCfm;
     /** Per-server demand slope, cfm per unit load. */
+    // ckpt-skip(derived): fan curves of the layout's servers
     std::vector<double> slopeCfm;
     /** Per-server aisle index (fused-pass scatter target). */
+    // ckpt-skip(derived): layout membership
     std::vector<std::uint32_t> serverAisle;
     /** Per-aisle demand of the last updateDemands() pass. */
+    // ckpt-skip(scratch): refilled by each step's updateDemands()
     std::vector<double> demandCfm;
+    // ckpt-skip(scratch): set by each step's updateDemands()
     bool demandsFresh = false;
 
     /** Materialize base/slope terms for not-yet-seen servers. */

@@ -151,7 +151,8 @@ ClusterSim::checkpointCore(Archive &ar)
 void
 ClusterSim::checkpointFailures(Archive &ar)
 {
-    failureMgr->checkpointState(ar);
+    cooling.checkpointState(ar);
+    hierarchy.checkpointState(ar);
     bool has_fault_engine = faultEngine != nullptr;
     ar.value(has_fault_engine);
     if (has_fault_engine != (faultEngine != nullptr)) {
@@ -239,13 +240,6 @@ ClusterSim::configDigest() const
     f64(cfg.demandNoiseSigma);
     f64(cfg.inletLimitC);
     i64(cfg.profileRefitPeriod);
-    u64(cfg.failures.size());
-    for (const FailureEvent &event : cfg.failures) {
-        i64(event.at);
-        i64(event.until);
-        u64(static_cast<std::uint64_t>(event.thermal));
-        f64(event.remainingFrac);
-    }
     f64(cfg.faults.ahu.mtbfS);
     f64(cfg.faults.ups.mtbfS);
     f64(cfg.faults.chiller.mtbfS);

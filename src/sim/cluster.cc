@@ -101,8 +101,6 @@ ClusterSim::ClusterSim(const SimConfig &config)
 
     tapas = std::make_unique<TapasController>(
         cfg.policy, layout, cooling, hierarchy, &bank, &perf);
-    failureMgr =
-        std::make_unique<FailureManager>(cooling, hierarchy, layout);
 
     // Endpoint demand sized from the steady-state SaaS fleet share.
     const auto &sizes = vmGen.endpointVmCounts();
@@ -145,27 +143,10 @@ ClusterSim::ClusterSim(const SimConfig &config)
     hottestGpuC.assign(layout.serverCount(), 25.0);
     inletC.assign(layout.serverCount(), 22.0);
 
-    // Fault engine: the configured plan plus the legacy scheduled
-    // failures translated to scripted faults (thermal = every
-    // aisle's AHU group, power = UPS 0 — the exact semantics the
-    // old schedule walker applied). No plan, no engine, no step
-    // overhead.
-    {
-        FaultPlan plan = cfg.faults;
-        for (const FailureEvent &event : cfg.failures) {
-            ScriptedFault fault;
-            fault.at = event.at;
-            fault.until = event.until;
-            fault.kind =
-                event.thermal ? FaultKind::Ahu : FaultKind::Ups;
-            fault.target = event.thermal ? -1 : 0;
-            fault.remainingFrac = event.remainingFrac;
-            plan.scripted.push_back(fault);
-        }
-        if (plan.any()) {
-            faultEngine = std::make_unique<FaultEngine>(
-                plan, layout, cfg.horizon, cfg.seed);
-        }
+    // Fault engine: no plan, no engine, no step overhead.
+    if (cfg.faults.any()) {
+        faultEngine = std::make_unique<FaultEngine>(
+            cfg.faults, layout, cfg.horizon, cfg.seed);
     }
 
     throttleAtC.reserve(layout.serverCount());
@@ -258,17 +239,15 @@ ClusterSim::refreshViewSnapshot()
     // Lazy load/time re-sync of the maintained view: membership
     // (vms, occupied) is kept current eagerly by
     // viewInsertVm/viewRemoveVm and the migration planner, so only
-    // the per-step snapshot fields move here — two packed-array
-    // reads per placed VM instead of the full rebuild the old
+    // the per-step snapshot fields move here — one packed-array
+    // read per placed VM instead of the full rebuild the old
     // makeView() paid two to three times per step.
     liveView.now = currentTime;
     liveView.outsideC = weatherModel.outsideAt(currentTime).value();
     liveView.dcLoadFrac = dcLoadFrac;
     liveView.serverLoads = serverLoads;
-    for (PlacedVmView &pv : liveView.vms) {
-        pv.currentLoad = vmTable.load[pv.id.index];
+    for (PlacedVmView &pv : liveView.vms)
         pv.predictedPeakLoad = vmTable.predictedPeak[pv.id.index];
-    }
     liveView.snapshotEpoch = viewLoadEpoch;
     stampView();
 }
@@ -349,9 +328,7 @@ ClusterSim::verifyClusterView()
         const PlacedVmView &b = fresh.vms[i];
         if (a.id != b.id || a.kind != b.kind ||
             a.server != b.server || a.endpoint != b.endpoint ||
-            a.customer != b.customer ||
-            a.predictedPeakLoad != b.predictedPeakLoad ||
-            a.currentLoad != b.currentLoad) {
+            a.predictedPeakLoad != b.predictedPeakLoad) {
             return false;
         }
     }
@@ -370,9 +347,7 @@ ClusterSim::placedVmView(std::size_t vm_index) const
         vmTable.isSaas(vm_index) ? VmKind::SaaS : VmKind::IaaS;
     pv.server = vmTable.server(vm_index);
     pv.endpoint = EndpointId(vmTable.endpointOf[vm_index]);
-    pv.customer = CustomerId(vmTable.customerOf[vm_index]);
     pv.predictedPeakLoad = vmTable.predictedPeak[vm_index];
-    pv.currentLoad = vmTable.load[vm_index];
     return pv;
 }
 
@@ -380,7 +355,7 @@ void
 ClusterSim::processFaults()
 {
     if (faultEngine)
-        faultEngine->advanceTo(currentTime, *failureMgr);
+        faultEngine->advanceTo(currentTime, cooling, hierarchy);
 }
 
 const std::vector<double> &
@@ -1288,8 +1263,8 @@ ClusterSim::configuratorPass()
 {
     if (!cfg.policy.configEnabled)
         return;
-    const bool emergency = failureMgr->active() !=
-        EmergencyKind::None;
+    const bool emergency =
+        cooling.anyFailure() || hierarchy.anyFailure();
     const bool emergency_changed = emergency != lastEmergency;
     lastEmergency = emergency;
 

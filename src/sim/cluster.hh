@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "core/failure.hh"
 #include "core/faults.hh"
 #include "core/migration.hh"
 #include "core/tapas.hh"
@@ -55,7 +54,7 @@ class Archive;
  */
 struct StepPhaseTimes
 {
-    /** Failure schedule + departures/arrivals + placement. */
+    /** Fault engine + departures/arrivals + placement. */
     double placeS = 0.0;
     /** Risk-assessor refresh. */
     double riskS = 0.0;
@@ -99,9 +98,14 @@ class ClusterSim
     const TelemetryStore &telemetry() const { return store; }
     const PerfModel &perfModel() const { return perf; }
     TapasController &controller() { return *tapas; }
-    FailureManager &failures() { return *failureMgr; }
-    /** The fault-injection engine, or nullptr when the config has
-     *  neither a fault plan nor legacy failure events. */
+    /** The cooling plant; its per-aisle derates are the live AHU
+     *  emergency state. */
+    const CoolingPlant &coolingPlant() const { return cooling; }
+    /** The power hierarchy; its per-UPS derates are the live power
+     *  emergency state. */
+    const PowerHierarchy &powerHierarchy() const { return hierarchy; }
+    /** The fault-injection engine, or nullptr when the config's
+     *  fault plan is empty. */
     FaultEngine *faultInjector() { return faultEngine.get(); }
     const FaultEngine *faultInjector() const
     { return faultEngine.get(); }
@@ -205,7 +209,6 @@ class ClusterSim
     ProfileBank bank;
     PerfModel perf;
     std::unique_ptr<TapasController> tapas;
-    std::unique_ptr<FailureManager> failureMgr;
     std::unique_ptr<RequestGenerator> requestGen;
     TelemetryStore store;
     SimMetrics simMetrics;

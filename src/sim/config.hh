@@ -7,7 +7,6 @@
 #define TAPAS_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "core/context.hh"
 #include "core/faults.hh"
@@ -28,16 +27,6 @@ enum class SimMode
     /** Aggregate token flows with utilization-law latency estimates
      *  (datacenter-scale, week-long sweeps). */
     FlowLevel,
-};
-
-/** A scheduled infrastructure failure. */
-struct FailureEvent
-{
-    SimTime at = 0;
-    SimTime until = 0;
-    /** True = thermal (AHU, 90%), false = power (UPS, 75%). */
-    bool thermal = false;
-    double remainingFrac = 0.75;
 };
 
 /** Full experiment description. */
@@ -81,15 +70,12 @@ struct SimConfig
     /** Lognormal sigma of per-endpoint 5-minute demand spikes. */
     double demandNoiseSigma = 0.18;
 
-    /** Scheduled failures. Legacy shorthand: each event is fed to
-     *  the FaultEngine as a scripted fault (thermal = every aisle's
-     *  AHU group, power = UPS 0), exactly the old semantics. */
-    std::vector<FailureEvent> failures;
-
     /**
      * Fault-injection plan: stochastic MTBF/MTTR component and
      * sensor fault processes plus scripted windows (core/faults.hh).
-     * Empty plan + empty failures = no engine, zero step overhead.
+     * The paper's emergencies are scripted windows: thermal = an Ahu
+     * fault with target -1 (every aisle) at 0.90, power = a Ups fault
+     * on UPS 0 at 0.75. Empty plan = no engine, zero step overhead.
      */
     FaultPlan faults;
 

@@ -67,7 +67,7 @@ class VmTable
     std::vector<InferenceEngine *> engine;
     /** Owning endpoint index, mirrored hot for view building. */
     std::vector<std::uint32_t> endpointOf;
-    /** Owning customer index, mirrored hot for view building. */
+    /** Owning customer index, mirrored hot for the telemetry pass. */
     std::vector<std::uint32_t> customerOf;
     /**
      * Cached predicted peak load. The underlying telemetry digests

@@ -63,12 +63,8 @@ class CoreFixture : public ::testing::Test
         vm.kind = kind;
         vm.server = sid;
         vm.predictedPeakLoad = peak_load;
-        vm.currentLoad = current_load;
-        if (kind == VmKind::SaaS) {
+        if (kind == VmKind::SaaS)
             vm.endpoint = EndpointId(0);
-        } else {
-            vm.customer = CustomerId(0);
-        }
         view.vms.push_back(vm);
         view.occupied[sid.index] = true;
         view.serverLoads[sid.index] = current_load;

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "core/failure.hh"
 #include "core/faults.hh"
 #include "fixture.hh"
 #include "telemetry/history.hh"
@@ -22,7 +21,7 @@ namespace {
 class FaultEngineFixture : public CoreFixture
 {
   protected:
-    FaultEngineFixture() : mgr(cooling, hierarchy, dc)
+    FaultEngineFixture()
     {
         for (const Aisle &aisle : dc.aisles()) {
             designAirflow.push_back(
@@ -30,7 +29,6 @@ class FaultEngineFixture : public CoreFixture
         }
     }
 
-    FailureManager mgr;
     std::vector<double> designAirflow;
 };
 
@@ -44,17 +42,26 @@ TEST_F(FaultEngineFixture, ScriptedWindowAppliesAndRestoresExactly)
     ahu.until = 5 * kHour;
     ahu.remainingFrac = 0.8;
     plan.scripted.push_back(ahu);
+    ScriptedFault ups;
+    ups.kind = FaultKind::Ups;
+    ups.target = 1;
+    ups.at = 3 * kHour;
+    ups.until = 5 * kHour;
+    ups.remainingFrac = 0.75;
+    plan.scripted.push_back(ups);
+    const double design_row_w =
+        hierarchy.effectiveRowProvision(RowId(0)).value();
 
     FaultEngine engine(plan, dc, kDay, 7);
-    EXPECT_EQ(engine.instanceCount(), 1u);
+    EXPECT_EQ(engine.instanceCount(), 2u);
 
-    engine.advanceTo(0, mgr);
+    engine.advanceTo(0, cooling, hierarchy);
     EXPECT_FALSE(engine.anyComponentFaultActive());
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(0)).value(),
                      designAirflow[0]);
 
     // The window is [at, until): active at the start edge...
-    engine.advanceTo(2 * kHour, mgr);
+    engine.advanceTo(2 * kHour, cooling, hierarchy);
     EXPECT_TRUE(engine.anyComponentFaultActive());
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(0)), 0.8);
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(0)).value(),
@@ -62,17 +69,27 @@ TEST_F(FaultEngineFixture, ScriptedWindowAppliesAndRestoresExactly)
     // ...untouched aisles keep design capacity...
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(1)).value(),
                      designAirflow[1]);
+    EXPECT_FALSE(hierarchy.anyFailure());
+
+    // A UPS window derates every row budget through the hierarchy.
+    engine.advanceTo(3 * kHour, cooling, hierarchy);
+    EXPECT_DOUBLE_EQ(engine.composedUpsDerate(UpsId(1)), 0.75);
+    EXPECT_DOUBLE_EQ(hierarchy.upsDerate(UpsId(1)), 0.75);
+    EXPECT_DOUBLE_EQ(hierarchy.datacenterDerate(), 0.75);
 
     // ...and cleared at the end edge, restoring the exact design
     // value (not a near-1.0 product of derate and un-derate).
-    engine.advanceTo(5 * kHour, mgr);
+    engine.advanceTo(5 * kHour, cooling, hierarchy);
     EXPECT_FALSE(engine.anyComponentFaultActive());
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(0)), 1.0);
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(0)).value(),
                      designAirflow[0]);
     EXPECT_FALSE(cooling.anyFailure());
-    EXPECT_EQ(engine.startsProcessed(), 1u);
-    EXPECT_EQ(engine.endsProcessed(), 1u);
+    EXPECT_FALSE(hierarchy.anyFailure());
+    EXPECT_EQ(hierarchy.effectiveRowProvision(RowId(0)).value(),
+              design_row_w);
+    EXPECT_EQ(engine.startsProcessed(), 2u);
+    EXPECT_EQ(engine.endsProcessed(), 2u);
 }
 
 TEST_F(FaultEngineFixture, ChillerFloorsEveryAisleAndComposesByMin)
@@ -96,14 +113,14 @@ TEST_F(FaultEngineFixture, ChillerFloorsEveryAisleAndComposesByMin)
     FaultEngine engine(plan, dc, kDay, 7);
 
     // Chiller alone: every aisle floors at 0.75.
-    engine.advanceTo(1 * kHour, mgr);
+    engine.advanceTo(1 * kHour, cooling, hierarchy);
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(0)), 0.75);
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(1)), 0.75);
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(1)).value(),
                      designAirflow[1] * 0.75);
 
     // Overlap: the deeper AHU fault wins on aisle 0 only.
-    engine.advanceTo(2 * kHour, mgr);
+    engine.advanceTo(2 * kHour, cooling, hierarchy);
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(0)), 0.6);
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(1)), 0.75);
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(0)).value(),
@@ -111,13 +128,13 @@ TEST_F(FaultEngineFixture, ChillerFloorsEveryAisleAndComposesByMin)
 
     // AHU repaired mid-chiller-derate: aisle 0 falls back to the
     // chiller floor, not to design.
-    engine.advanceTo(3 * kHour, mgr);
+    engine.advanceTo(3 * kHour, cooling, hierarchy);
     EXPECT_DOUBLE_EQ(engine.composedAisleDerate(AisleId(0)), 0.75);
     EXPECT_DOUBLE_EQ(cooling.effectiveProvision(AisleId(0)).value(),
                      designAirflow[0] * 0.75);
 
     // Chiller repaired: exact design restore everywhere.
-    engine.advanceTo(4 * kHour, mgr);
+    engine.advanceTo(4 * kHour, cooling, hierarchy);
     EXPECT_FALSE(engine.anyComponentFaultActive());
     for (const Aisle &aisle : dc.aisles()) {
         EXPECT_DOUBLE_EQ(
@@ -139,12 +156,11 @@ TEST_F(FaultEngineFixture, StochasticTimelineIsSeedDeterministic)
     ASSERT_GT(a.instanceCount(), 0u);
     ASSERT_EQ(a.instanceCount(), b.instanceCount());
 
-    // Replaying the two engines step by step (through independent
-    // plants) must produce identical composed state at every step.
-    FailureManager mgr_b(cooling, hierarchy, dc);
+    // Replaying the two engines step by step must produce identical
+    // composed state at every step.
     for (SimTime t = 0; t <= kWeek; t += 5 * kMinute) {
-        a.advanceTo(t, mgr);
-        b.advanceTo(t, mgr_b);
+        a.advanceTo(t, cooling, hierarchy);
+        b.advanceTo(t, cooling, hierarchy);
         ASSERT_EQ(a.activeComponentCount(),
                   b.activeComponentCount());
         ASSERT_EQ(a.activeSensorCount(), b.activeSensorCount());
@@ -164,20 +180,17 @@ TEST_F(FaultEngineFixture, StochasticTimelineIsSeedDeterministic)
     // of active-fault counts cannot match over a whole week of
     // events).
     FaultEngine c(plan, dc, kWeek, 4321);
-    FailureManager mgr_c(cooling, hierarchy, dc);
     bool any_difference = c.instanceCount() != a.instanceCount();
     FaultEngine a2(plan, dc, kWeek, 1234);
-    FailureManager mgr_a2(cooling, hierarchy, dc);
     for (SimTime t = 0; t <= kWeek && !any_difference;
          t += 5 * kMinute) {
-        a2.advanceTo(t, mgr_a2);
-        c.advanceTo(t, mgr_c);
+        a2.advanceTo(t, cooling, hierarchy);
+        c.advanceTo(t, cooling, hierarchy);
         any_difference = a2.activeComponentCount() !=
                 c.activeComponentCount() ||
             a2.activeSensorCount() != c.activeSensorCount();
     }
     EXPECT_TRUE(any_difference);
-    mgr.clearAll();
 }
 
 TEST_F(FaultEngineFixture, StuckSensorFreezesObservations)
@@ -195,10 +208,10 @@ TEST_F(FaultEngineFixture, StuckSensorFreezesObservations)
     FaultEngine engine(plan, dc, kDay, 7);
     EXPECT_TRUE(engine.planHasSensorFaults());
 
-    engine.advanceTo(0, mgr);
+    engine.advanceTo(0, cooling, hierarchy);
     EXPECT_FALSE(engine.sensorFaultActive(ServerId(3)));
 
-    engine.advanceTo(kHour, mgr);
+    engine.advanceTo(kHour, cooling, hierarchy);
     ASSERT_TRUE(engine.sensorFaultActive(ServerId(3)));
     EXPECT_EQ(engine.sensorFaultKind(ServerId(3)),
               SensorFaultKind::StuckAt);
@@ -236,7 +249,7 @@ TEST_F(FaultEngineFixture, StuckSensorFreezesObservations)
     EXPECT_FLOAT_EQ(second.serverPowerW, 1600.0f);
 
     // After repair the observation path is a no-op again.
-    engine.advanceTo(3 * kHour, mgr);
+    engine.advanceTo(3 * kHour, cooling, hierarchy);
     EXPECT_FALSE(engine.sensorFaultActive(ServerId(3)));
     std::vector<double> healthy(gpus, 350.0);
     engine.corruptObservedGpuPower(ServerId(3), 4 * kHour,
@@ -270,7 +283,7 @@ TEST_F(FaultEngineFixture, DriftNoiseAndDropModes)
     plan.scripted.push_back(dropped);
 
     FaultEngine engine(plan, dc, kDay, 7);
-    engine.advanceTo(0, mgr);
+    engine.advanceTo(0, cooling, hierarchy);
 
     // BiasDrift: zero at onset, then the observed *sum* moves by
     // driftWPerHour per hour, spread across the GPUs.
@@ -297,8 +310,7 @@ TEST_F(FaultEngineFixture, DriftNoiseAndDropModes)
     // (seed, server, time): replaying the same instant through a
     // twin engine reproduces it bit-for-bit.
     FaultEngine twin(plan, dc, kDay, 7);
-    FailureManager twin_mgr(cooling, hierarchy, dc);
-    twin.advanceTo(0, twin_mgr);
+    twin.advanceTo(0, cooling, hierarchy);
     std::vector<double> noisy(gpus, 300.0);
     std::vector<double> twin_noisy(gpus, 300.0);
     engine.corruptObservedGpuPower(ServerId(1), kHour, noisy.data(),
@@ -323,7 +335,6 @@ TEST_F(FaultEngineFixture, DriftNoiseAndDropModes)
     engine.corruptObservedGpuPower(ServerId(2), 2 * kHour,
                                    changed.data(), gpus);
     EXPECT_DOUBLE_EQ(changed[0], 250.0);
-    mgr.clearAll();
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the failure manager and TapasController facade.
+ * Unit tests for the TapasController facade.
  */
 
 #include "fixture.hh"
@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "common/serialize.hh"
-#include "core/failure.hh"
 #include "core/tapas.hh"
 #include "llm/engine.hh"
 #include "telemetry/history.hh"
@@ -54,32 +53,6 @@ class TapasControllerTest : public CoreFixture
     std::vector<std::unique_ptr<InferenceEngine>> engines;
     std::vector<double> gpuPower;
 };
-
-TEST_F(TapasControllerTest, FailureManagerThermalEmergency)
-{
-    FailureManager manager(cooling, hierarchy, dc);
-    EXPECT_EQ(manager.active(), EmergencyKind::None);
-    manager.triggerThermalEmergency(0.9);
-    EXPECT_EQ(manager.active(), EmergencyKind::Thermal);
-    EXPECT_NEAR(cooling.effectiveProvision(AisleId(0)).value() /
-                    cooling.provision(AisleId(0)).value(),
-                0.9, 1e-9);
-    manager.clearAll();
-    EXPECT_EQ(manager.active(), EmergencyKind::None);
-}
-
-TEST_F(TapasControllerTest, FailureManagerPowerEmergency)
-{
-    FailureManager manager(cooling, hierarchy, dc);
-    manager.triggerPowerEmergency(0.75);
-    EXPECT_EQ(manager.active(), EmergencyKind::Power);
-    EXPECT_NEAR(hierarchy.effectiveRowProvision(RowId(0)).value() /
-                    hierarchy.rowProvision(RowId(0)).value(),
-                0.75, 1e-9);
-    manager.triggerThermalEmergency(0.9);
-    EXPECT_EQ(manager.active(), EmergencyKind::Both);
-    manager.clearAll();
-}
 
 TEST_F(TapasControllerTest, PolicyFlagsSelectImplementations)
 {
@@ -144,7 +117,6 @@ TEST_F(TapasControllerTest, PowerEmergencyTriggersReconfigs)
 {
     TapasController controller(allOn(), dc, cooling, hierarchy,
                                &bank, &perf);
-    FailureManager manager(cooling, hierarchy, dc);
 
     // Fill row 0: one SaaS instance per server, all loaded.
     std::vector<SaasInstanceRef> instances;
@@ -155,7 +127,7 @@ TEST_F(TapasControllerTest, PowerEmergencyTriggersReconfigs)
         view.serverLoads[sid.index] = 0.9;
     }
 
-    manager.triggerPowerEmergency(0.60);
+    hierarchy.setUpsDerate(UpsId(0), 0.60);
     controller.configurePass(view, instances);
     // Budgets dropped sharply: at least some instances must be
     // reconfigured down.
@@ -213,7 +185,6 @@ TEST_F(TapasControllerTest, ConfigurePassIsOrderIndependent)
 
     TapasController a(allOn(), dc, cooling, hierarchy, &bank, &perf);
     TapasController b(allOn(), dc, cooling, hierarchy, &bank, &perf);
-    FailureManager manager(cooling, hierarchy, dc);
     auto run_both = [&]() {
         a.configurePass(view, forward);
         b.configurePass(view, order);
@@ -222,10 +193,10 @@ TEST_F(TapasControllerTest, ConfigurePassIsOrderIndependent)
             shuffled[i].engine->step(0.0, 3600.0);
         }
     };
-    manager.triggerPowerEmergency(0.55);
+    hierarchy.setUpsDerate(UpsId(0), 0.55);
     run_both();
     const std::uint64_t emergency_reconfigs = a.reconfigsIssued();
-    manager.clearAll();
+    hierarchy.setUpsDerate(UpsId(0), 1.0);
     view.now += 600;
     run_both();
 
@@ -290,8 +261,7 @@ TEST_F(TapasControllerTest, AcceptedRefitMovesZeroLoadFloors)
 
     // Drop the row budget below the new idle draw: the zero-load
     // floor is the binding server power limit.
-    FailureManager manager(cooling, hierarchy, dc);
-    manager.triggerPowerEmergency(0.05);
+    hierarchy.setUpsDerate(UpsId(0), 0.05);
 
     auto settled_choice = [&](TapasController &controller) {
         std::vector<SaasInstanceRef> one;

@@ -75,12 +75,12 @@ TEST(CoolingIncremental, MatchesAcrossAhuFailureAndRestore)
 
     expectDemandsMatch(cooling, dc, loads);
 
-    cooling.failAhu(AisleId(0), 0.9);
+    cooling.setAhuDerate(AisleId(0), 0.9);
     expectDemandsMatch(cooling, dc, loads);
     // Overdraw reflects the derated provision.
     EXPECT_GE(cooling.cachedOverdrawFraction(AisleId(0)), 0.0);
 
-    cooling.restoreAhu(AisleId(0));
+    cooling.setAhuDerate(AisleId(0), 1.0);
     expectDemandsMatch(cooling, dc, loads);
 }
 

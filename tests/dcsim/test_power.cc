@@ -134,7 +134,7 @@ TEST_F(PowerTest, UpsFailureDeratesBudgets)
 {
     const double before =
         hierarchy.effectiveRowProvision(RowId(0)).value();
-    hierarchy.failUps(UpsId(0), 0.75);
+    hierarchy.setUpsDerate(UpsId(0), 0.75);
     EXPECT_TRUE(hierarchy.anyFailure());
     EXPECT_NEAR(hierarchy.effectiveRowProvision(RowId(0)).value(),
                 before * 0.75, 1e-6);
@@ -145,10 +145,25 @@ TEST_F(PowerTest, UpsFailureDeratesBudgets)
     const PowerAssessment result = hierarchy.assess(draws);
     EXPECT_EQ(result.overBudgetRows.size(), dc.rowCount());
 
-    hierarchy.restoreUps(UpsId(0));
+    // Mixed-severity overlap: the datacenter-wide derate is the
+    // minimum over the failed units, and repairing the deep unit
+    // first steps to the shallow derate, not a compounded residue.
+    ASSERT_GE(dc.upsCount(), 2u);
+    hierarchy.setUpsDerate(UpsId(0), 0.6);
+    hierarchy.setUpsDerate(UpsId(1), 0.8);
+    EXPECT_DOUBLE_EQ(hierarchy.upsDerate(UpsId(0)), 0.6);
+    EXPECT_DOUBLE_EQ(hierarchy.upsDerate(UpsId(1)), 0.8);
+    EXPECT_DOUBLE_EQ(hierarchy.datacenterDerate(), 0.6);
+    hierarchy.setUpsDerate(UpsId(0), 1.0);
+    EXPECT_DOUBLE_EQ(hierarchy.datacenterDerate(), 0.8);
+    EXPECT_TRUE(hierarchy.anyFailure());
+
+    // Repairs restore the exact design budget.
+    hierarchy.setUpsDerate(UpsId(1), 1.0);
     EXPECT_FALSE(hierarchy.anyFailure());
-    EXPECT_NEAR(hierarchy.effectiveRowProvision(RowId(0)).value(),
-                before, 1e-6);
+    EXPECT_DOUBLE_EQ(hierarchy.upsDerate(UpsId(1)), 1.0);
+    EXPECT_EQ(hierarchy.effectiveRowProvision(RowId(0)).value(),
+              before);
 }
 
 TEST_F(PowerTest, OversubscriptionSharesFrozenBudget)

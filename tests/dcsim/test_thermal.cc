@@ -273,14 +273,23 @@ TEST_F(CoolingPlantTest, AhuFailureCreatesOverdrawAtFullLoad)
 {
     std::vector<double> full(dc.serverCount(), 1.0);
     const AisleId aid(0);
-    plant.failAhu(aid, 0.9);
+    const double design = plant.effectiveProvision(aid).value();
+    // The setter is absolute: a deeper then a shallower derate
+    // leaves the shallower one (the fault engine composes overlap).
+    plant.setAhuDerate(aid, 0.7);
+    plant.setAhuDerate(aid, 0.9);
+    EXPECT_DOUBLE_EQ(plant.ahuDerate(aid), 0.9);
     EXPECT_TRUE(plant.anyFailure());
     EXPECT_NEAR(plant.overdrawFraction(aid, full), 1.0 / 0.9 - 1.0,
                 1e-6);
     // Other aisles unaffected.
     EXPECT_DOUBLE_EQ(plant.overdrawFraction(AisleId(1), full), 0.0);
-    plant.restoreAhu(aid);
+    // Any fraction >= 1 restores the exact design value, not a
+    // near-1.0 product of derate and un-derate.
+    plant.setAhuDerate(aid, 1.5);
+    EXPECT_DOUBLE_EQ(plant.ahuDerate(aid), 1.0);
     EXPECT_FALSE(plant.anyFailure());
+    EXPECT_EQ(plant.effectiveProvision(aid).value(), design);
     EXPECT_DOUBLE_EQ(plant.overdrawFraction(aid, full), 0.0);
 }
 

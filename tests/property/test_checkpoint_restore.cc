@@ -57,6 +57,16 @@ faultyScenario(std::uint64_t seed)
     chiller.until = 3 * kHour;
     chiller.remainingFrac = 0.8;
     cfg.faults.scripted.push_back(chiller);
+    // The paper's power emergency (UPS at 75%), live across both of
+    // ChainedRestoresStayExact's checkpoints, so restores carry a
+    // UPS derate as well as aisle derates.
+    ScriptedFault ups;
+    ups.kind = FaultKind::Ups;
+    ups.target = 0;
+    ups.at = kHour;
+    ups.until = 7 * kHour / 2;
+    ups.remainingFrac = 0.75;
+    cfg.faults.scripted.push_back(ups);
     return cfg;
 }
 
@@ -133,15 +143,20 @@ TEST_P(CheckpointRestoreEquivalence, ChainedRestoresStayExact)
 
     ClusterSim first(cfg);
     first.runSteps(t1);
+    ASSERT_DOUBLE_EQ(first.powerHierarchy().upsDerate(UpsId(0)), 0.75);
     ASSERT_TRUE(first.saveCheckpoint(path).ok());
 
     ClusterSim second(cfg);
     ASSERT_TRUE(second.restoreCheckpoint(path).ok());
+    EXPECT_DOUBLE_EQ(second.powerHierarchy().upsDerate(UpsId(0)),
+                     0.75);
     second.runSteps(t2 - t1);
+    ASSERT_TRUE(second.powerHierarchy().anyFailure());
     ASSERT_TRUE(second.saveCheckpoint(path).ok());
 
     ClusterSim third(cfg);
     ASSERT_TRUE(third.restoreCheckpoint(path).ok());
+    EXPECT_DOUBLE_EQ(third.powerHierarchy().datacenterDerate(), 0.75);
     third.runSteps(total - t2);
     ASSERT_TRUE(third.finished());
 

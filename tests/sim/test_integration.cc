@@ -110,12 +110,13 @@ TEST(SimIntegration, PowerEmergencySparesIaasUnderTapas)
 {
     SimConfig cfg = smallTestScenario(17);
     cfg.horizon = kDay;
-    FailureEvent event;
+    ScriptedFault event;
     event.at = 10 * kHour;
     event.until = 14 * kHour;
-    event.thermal = false;
+    event.kind = FaultKind::Ups;
+    event.target = 0;
     event.remainingFrac = 0.70;
-    cfg.failures.push_back(event);
+    cfg.faults.scripted.push_back(event);
 
     ClusterSim baseline(cfg.asBaseline());
     baseline.run();
@@ -149,12 +150,13 @@ TEST(SimIntegration, EmergencyQualityDipsOnlyUnderTapas)
 {
     SimConfig cfg = smallTestScenario(19);
     cfg.horizon = kDay;
-    FailureEvent event;
+    ScriptedFault event;
     event.at = 10 * kHour;
     event.until = 14 * kHour;
-    event.thermal = false;
+    event.kind = FaultKind::Ups;
+    event.target = 0;
     event.remainingFrac = 0.70;
-    cfg.failures.push_back(event);
+    cfg.faults.scripted.push_back(event);
 
     ClusterSim baseline(cfg.asBaseline());
     baseline.run();
@@ -171,17 +173,22 @@ TEST(SimIntegration, FailureStateClearsAfterWindow)
 {
     SimConfig cfg = smallTestScenario(21);
     cfg.horizon = 6 * kHour;
-    FailureEvent event;
+    ScriptedFault event;
     event.at = 2 * kHour;
     event.until = 4 * kHour;
-    event.thermal = true;
+    event.kind = FaultKind::Ahu;
+    event.target = -1; // every aisle's AHU group
     event.remainingFrac = 0.9;
-    cfg.failures.push_back(event);
+    cfg.faults.scripted.push_back(event);
     ClusterSim sim(cfg.asTapas());
     sim.runSteps(static_cast<int>(3 * kHour / cfg.stepLength));
-    EXPECT_EQ(sim.failures().active(), EmergencyKind::Thermal);
+    EXPECT_TRUE(sim.coolingPlant().anyFailure());
+    EXPECT_FALSE(sim.powerHierarchy().anyFailure());
+    for (const Aisle &aisle : sim.datacenter().aisles())
+        EXPECT_DOUBLE_EQ(sim.coolingPlant().ahuDerate(aisle.id), 0.9);
     sim.run();
-    EXPECT_EQ(sim.failures().active(), EmergencyKind::None);
+    EXPECT_FALSE(sim.coolingPlant().anyFailure());
+    EXPECT_FALSE(sim.powerHierarchy().anyFailure());
 }
 
 TEST(SimIntegration, RequestAndFlowModesAgree)
