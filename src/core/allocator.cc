@@ -33,86 +33,6 @@ BaselineAllocator::place(const PlacementRequest &request,
     return best;
 }
 
-namespace {
-
-constexpr double kSaasControllableLoad =
-    TapasAllocator::kSaasControllableLoad;
-
-} // namespace
-
-void
-TapasAllocator::peakLoadByServer(const ClusterView &view,
-                                 std::vector<double> &peaks)
-{
-    peaks.assign(view.layout->serverCount(), 0.0);
-    for (const PlacedVmView &vm : view.vms) {
-        tapas_assert(view.occupied[vm.server.index],
-                     "view VM %u on unoccupied server %u",
-                     vm.id.index, vm.server.index);
-        double peak = vm.predictedPeakLoad;
-        if (vm.kind == VmKind::SaaS)
-            peak = std::min(peak, kSaasControllableLoad);
-        peaks[vm.server.index] = peak;
-    }
-}
-
-double
-TapasAllocator::predictedAisleAirflow(const ClusterView &view,
-                                      AisleId aisle,
-                                      ServerId extra_server,
-                                      double extra_peak_load)
-{
-    tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    view.assertFresh();
-    std::vector<double> peaks;
-    peakLoadByServer(view, peaks);
-    const std::vector<ServerId> &servers =
-        view.layout->aisle(aisle).servers;
-    std::vector<double> loads(servers.size());
-    std::vector<double> airflow(servers.size());
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        double load = peaks[servers[i].index];
-        if (extra_server.valid() && servers[i] == extra_server)
-            load = std::max(load, extra_peak_load);
-        loads[i] = load;
-    }
-    view.profiles->predictAirflowGather(servers.data(), loads.data(),
-                                        servers.size(),
-                                        airflow.data());
-    double total = 0.0;
-    for (std::size_t i = 0; i < servers.size(); ++i)
-        total += airflow[i];
-    return total;
-}
-
-double
-TapasAllocator::predictedRowPower(const ClusterView &view, RowId row,
-                                  ServerId extra_server,
-                                  double extra_peak_load)
-{
-    tapas_assert(view.profiles, "TAPAS allocator needs profiles");
-    view.assertFresh();
-    std::vector<double> peaks;
-    peakLoadByServer(view, peaks);
-    const std::vector<ServerId> &servers =
-        view.layout->row(row).servers;
-    std::vector<double> loads(servers.size());
-    std::vector<double> power(servers.size());
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        const ServerId sid = servers[i];
-        double load = peaks[sid.index];
-        if (extra_server.valid() && sid == extra_server)
-            load = std::max(load, extra_peak_load);
-        loads[i] = load;
-    }
-    view.profiles->predictPowerGather(servers.data(), loads.data(),
-                                      servers.size(), power.data());
-    double total = 0.0;
-    for (std::size_t i = 0; i < servers.size(); ++i)
-        total += power[i];
-    return total;
-}
-
 std::optional<ServerId>
 TapasAllocator::place(const PlacementRequest &request,
                       const ClusterView &view)
@@ -149,16 +69,17 @@ TapasAllocator::place(const PlacementRequest &request,
     // airflow/power validators; the thermal projection uses the raw
     // predicted peak.
     const double request_peak = request.kind == VmKind::SaaS
-        ? std::min(request.predictedPeakLoad, kSaasControllableLoad)
+        ? std::min(request.predictedPeakLoad,
+                   BudgetLedger::kSaasControllableLoad)
         : request.predictedPeakLoad;
 
     // Precompute every per-server prediction the candidate loop
     // needs as fleet-wide batched passes: the occupied-peak demand
-    // bases, the empty/requested what-if deltas, and the design-day
-    // thermal projection. The loop below then only reads packed
-    // arrays; per candidate only its own delta changes (keeps
-    // place() linear).
-    peakLoadByServer(view, peaksScratch);
+    // bases (the budget ledger), the empty/requested what-if deltas,
+    // and the design-day thermal projection. The loop below then
+    // only reads packed arrays; per candidate only its own delta
+    // changes (keeps place() linear).
+    ledger.fillPeaks(view);
     airflowZeroScratch.resize(servers);
     airflowReqScratch.resize(servers);
     powerZeroScratch.resize(servers);
@@ -166,21 +87,6 @@ TapasAllocator::place(const PlacementRequest &request,
     inletScratch.resize(servers);
     perGpuWScratch.resize(servers);
     hottestScratch.resize(servers);
-    // Reuse the occupied-peak airflow/power pass for the bases.
-    profiles.predictAirflowBatch(peaksScratch.data(), servers,
-                                 airflowReqScratch.data());
-    profiles.predictPowerBatch(peaksScratch.data(), servers,
-                               powerReqScratch.data());
-    aisleBaseScratch.assign(layout.aisleCount(), 0.0);
-    rowBaseScratch.assign(layout.rowCount(), 0.0);
-    std::vector<double> &aisle_base = aisleBaseScratch;
-    std::vector<double> &row_base = rowBaseScratch;
-    for (const Server &server : layout.servers()) {
-        aisle_base[server.aisle.index] +=
-            airflowReqScratch[server.id.index];
-        row_base[server.row.index] +=
-            powerReqScratch[server.id.index];
-    }
     profiles.predictAirflowUniformBatch(0.0, servers,
                                         airflowZeroScratch.data());
     profiles.predictAirflowUniformBatch(request_peak, servers,
@@ -212,20 +118,19 @@ TapasAllocator::place(const PlacementRequest &request,
 
         // --- Validator rule: Eq. 3 (airflow) and Eq. 4 (power). ---
         const double aisle_demand =
-            aisle_base[server.aisle.index] -
+            ledger.aisleAirflowCfm(server.aisle) -
             airflowZeroScratch[server.id.index] +
             airflowReqScratch[server.id.index];
         const double aisle_budget =
-            view.cooling->effectiveProvision(server.aisle).value();
+            ledger.aisleProvisionCfm(server.aisle);
         if (aisle_demand > aisle_budget)
             continue;
 
         const double row_demand =
-            row_base[server.row.index] -
+            ledger.rowPowerW(server.row) -
             powerZeroScratch[server.id.index] +
             powerReqScratch[server.id.index];
-        const double row_budget =
-            view.power->effectiveRowProvision(server.row).value();
+        const double row_budget = ledger.rowProvisionW(server.row);
         if (row_demand > row_budget)
             continue;
 

@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/budget.hh"
 #include "core/context.hh"
 
 namespace tapas {
@@ -72,49 +73,14 @@ class TapasAllocator : public VmAllocator
 
     const char *name() const override { return "tapas"; }
 
-    /**
-     * Heat/load level the configurator can always push a SaaS
-     * instance down to; budget validators count SaaS at this
-     * controllable floor because TAPAS reclaims that slack at
-     * runtime (Section 4.4: oversubscription leverages the slack
-     * TAPAS creates).
-     */
-    static constexpr double kSaasControllableLoad = 0.45;
-
-    /**
-     * Per-server predicted peak loads from the placed VM views,
-     * SaaS counted at the controllable floor (the accounting every
-     * budget validator shares — allocator admission, migration
-     * donor ranking, and the what-if helpers below). Every server
-     * that holds no view VM reads 0, because each view VM sits on an
-     * occupied server.
-     */
-    static void peakLoadByServer(const ClusterView &view,
-                                 std::vector<double> &out);
-
-    /**
-     * Predicted peak airflow demand of an aisle (CFM), including an
-     * optional extra VM at the given server.
-     */
-    static double predictedAisleAirflow(const ClusterView &view,
-                                        AisleId aisle,
-                                        ServerId extra_server,
-                                        double extra_peak_load);
-
-    /** Predicted peak power demand of a row (W), incl. optional VM. */
-    static double predictedRowPower(const ClusterView &view,
-                                    RowId row, ServerId extra_server,
-                                    double extra_peak_load);
-
   private:
     TapasPolicyConfig cfg;
 
+    /** Eq. 3/4 demand bases at the placed VMs' predicted peaks. */
+    BudgetLedger ledger;
     /** Reusable placement scratch (place() runs per arriving VM and
      *  per waiting-queue retry; batched predictor passes write into
      *  these instead of allocating per call). */
-    std::vector<double> peaksScratch;
-    std::vector<double> aisleBaseScratch;
-    std::vector<double> rowBaseScratch;
     std::vector<double> airflowZeroScratch;
     std::vector<double> airflowReqScratch;
     std::vector<double> powerZeroScratch;

@@ -75,7 +75,7 @@ FaultEngine::FaultEngine(const FaultPlan &plan,
     }
 
     for (const ScriptedFault &fault : plan.scripted)
-        expandScripted(fault, horizon);
+        expandScripted(fault);
 
     events.reserve(instances.size() * 2);
     for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -166,10 +166,9 @@ FaultEngine::materializeProcess(const FaultProcess &proc,
 }
 
 void
-FaultEngine::expandScripted(const ScriptedFault &fault,
-                            SimTime horizon)
+FaultEngine::expandScripted(const ScriptedFault &fault)
 {
-    (void)horizon; // scripted windows may outlive the horizon
+    // Scripted windows may outlive the horizon; they are kept whole.
     if (fault.until <= fault.at)
         return;
     tapas_assert(fault.kind == FaultKind::Sensor ||

@@ -291,7 +291,7 @@ class FaultEngine
                             std::uint32_t target, SimTime horizon,
                             std::uint64_t stream_seed,
                             const FaultPlan &plan);
-    void expandScripted(const ScriptedFault &fault, SimTime horizon);
+    void expandScripted(const ScriptedFault &fault);
     FaultInstance *activeSensorInstance(ServerId id);
 };
 

@@ -1,31 +1,8 @@
 #include "core/migration.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace tapas {
-
-void
-MigrationPlanner::rowPeakPowers(const ClusterView &view)
-{
-    const DatacenterLayout &layout = *view.layout;
-    // Shared per-server peak accounting (SaaS at the controllable
-    // floor, unoccupied servers at 0), one fleet-wide batched
-    // power pass, then a per-row accumulation — the same values
-    // TapasAllocator::predictedRowPower produces row by row, without
-    // the per-row fleet walks.
-    TapasAllocator::peakLoadByServer(view, peaksScratch);
-    powerScratch.resize(layout.serverCount());
-    view.profiles->predictPowerBatch(peaksScratch.data(),
-                                     layout.serverCount(),
-                                     powerScratch.data());
-    rowPowerScratch.assign(layout.rowCount(), 0.0);
-    for (const Server &server : layout.servers()) {
-        rowPowerScratch[server.row.index] +=
-            powerScratch[server.id.index];
-    }
-}
 
 std::optional<MigrationPlan>
 MigrationPlanner::planOne(ClusterView &view)
@@ -35,13 +12,12 @@ MigrationPlanner::planOne(ClusterView &view)
     const DatacenterLayout &layout = *view.layout;
 
     // Rank rows by predicted peak power utilization.
-    rowPeakPowers(view);
+    ledger.fillPeaks(view);
     RowId donor;
     double worst_util = 0.0;
     for (const Row &row : layout.rows()) {
-        const double demand = rowPowerScratch[row.id.index];
-        const double budget =
-            view.power->effectiveRowProvision(row.id).value();
+        const double demand = ledger.rowPowerW(row.id);
+        const double budget = ledger.rowProvisionW(row.id);
         if (budget <= 0.0)
             continue;
         const double util = demand / budget;
@@ -52,7 +28,7 @@ MigrationPlanner::planOne(ClusterView &view)
     }
     if (!donor.valid())
         return std::nullopt;
-    const double donor_before = rowPowerScratch[donor.index];
+    const double donor_before = ledger.rowPowerW(donor);
 
     // Candidate: the SaaS VM with the highest predicted peak in the
     // donor row (moving it relieves the most pressure).
@@ -103,8 +79,8 @@ MigrationPlanner::planOne(ClusterView &view)
     }
 
     // Donor-row relief, evaluated on the lifted-out overlay state.
-    rowPeakPowers(view);
-    const double donor_after = rowPowerScratch[donor.index];
+    ledger.fillPeaks(view);
+    const double donor_after = ledger.rowPowerW(donor);
     if (donor_after >= donor_before) {
         undo();
         return std::nullopt;

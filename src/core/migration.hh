@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/allocator.hh"
+#include "core/budget.hh"
 #include "core/context.hh"
 
 namespace tapas {
@@ -59,16 +60,10 @@ class MigrationPlanner
     /** Re-placement allocator; member so its batched-prediction
      *  scratch persists across planning rounds. */
     TapasAllocator alloc;
-
-    /** Reusable fleet-wide buffers for the donor ranking pass. */
-    std::vector<double> peaksScratch;
-    std::vector<double> powerScratch;
-    std::vector<double> rowPowerScratch;
+    /** Predicted peak row power for the donor ranking. */
+    BudgetLedger ledger;
 
     std::optional<MigrationPlan> planOne(ClusterView &view);
-
-    /** Predicted peak power of every row in one batched pass. */
-    void rowPeakPowers(const ClusterView &view);
 };
 
 } // namespace tapas

@@ -28,12 +28,8 @@ RiskAssessor::refresh(const ClusterView &view,
     // this resize allocates once and is a capacity check afterwards.
     risks.resize(servers);
 
-    // One fleet-wide batched pass per fitted model; the aisle/row
-    // walks below then only aggregate the precomputed per-server
-    // values (in the same server order as the old scalar loops, so
-    // the sums are bit-identical).
-    airflowScratch.resize(servers);
-    powerScratch.resize(servers);
+    // Row power and aisle airflow at current loads (the budget
+    // ledger), then one batched inlet/hottest-GPU pass.
     inletScratch.resize(servers);
     hottestScratch.resize(servers);
     // Sensor sanity gate: quarantined servers have their untrusted
@@ -44,44 +40,13 @@ RiskAssessor::refresh(const ClusterView &view,
         cfg.sensorQuarantineEnabled
         ? applySensorQuarantine(view, gpu_power_w, gpus)
         : gpu_power_w;
-    profiles.predictAirflowBatch(view.serverLoads.data(), servers,
-                                 airflowScratch.data());
-    profiles.predictPowerBatch(view.serverLoads.data(), servers,
-                               powerScratch.data());
+    ledger.fill(layout, profiles, *view.cooling, *view.power,
+                view.serverLoads.data());
     profiles.predictInletBatch(view.outsideC, view.dcLoadFrac,
                                servers, inletScratch.data());
     profiles.predictHottestGpuBatch(inletScratch.data(),
                                     effective_gpu_w.data(), servers,
                                     hottestScratch.data());
-
-    // Aisle airflow and row power headrooms from the batched
-    // predictions at current loads, into small per-group arrays.
-    aisleHeadroomScratch.resize(layout.aisleCount());
-    aisleRiskScratch.resize(layout.aisleCount());
-    for (const Aisle &aisle : layout.aisles()) {
-        double demand = 0.0;
-        for (ServerId sid : aisle.servers)
-            demand += airflowScratch[sid.index];
-        const double budget =
-            view.cooling->effectiveProvision(aisle.id).value();
-        const double headroom = budget - demand;
-        aisleHeadroomScratch[aisle.id.index] = headroom;
-        aisleRiskScratch[aisle.id.index] =
-            headroom < cfg.airflowMarginFrac * budget;
-    }
-    rowHeadroomScratch.resize(layout.rowCount());
-    rowRiskScratch.resize(layout.rowCount());
-    for (const Row &row : layout.rows()) {
-        double demand = 0.0;
-        for (ServerId sid : row.servers)
-            demand += powerScratch[sid.index];
-        const double budget =
-            view.power->effectiveRowProvision(row.id).value();
-        const double headroom = budget - demand;
-        rowHeadroomScratch[row.id.index] = headroom;
-        rowRiskScratch[row.id.index] =
-            headroom < cfg.rowPowerMarginFrac * budget;
-    }
 
     // The per-server thermal limit is fixed by the layout; hoist it
     // out of the refresh into a cached array.
@@ -101,12 +66,16 @@ RiskAssessor::refresh(const ClusterView &view,
     for (const Server &server : layout.servers()) {
         ServerRisk &entry = risks[server.id.index];
         const double hottest = hottestScratch[server.id.index];
+        const double aisle_budget =
+            ledger.aisleProvisionCfm(server.aisle);
         entry.aisleHeadroomCfm =
-            aisleHeadroomScratch[server.aisle.index];
-        entry.airflowRisk =
-            aisleRiskScratch[server.aisle.index] != 0;
-        entry.rowHeadroomW = rowHeadroomScratch[server.row.index];
-        entry.powerRisk = rowRiskScratch[server.row.index] != 0;
+            aisle_budget - ledger.aisleAirflowCfm(server.aisle);
+        entry.airflowRisk = entry.aisleHeadroomCfm <
+            cfg.airflowMarginFrac * aisle_budget;
+        const double row_budget = ledger.rowProvisionW(server.row);
+        entry.rowHeadroomW = row_budget - ledger.rowPowerW(server.row);
+        entry.powerRisk =
+            entry.rowHeadroomW < cfg.rowPowerMarginFrac * row_budget;
         entry.predictedHottestGpuC = hottest;
         // Quarantined servers keep extra distance to the throttle
         // point: the prediction ran on a stale snapshot.

@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "core/budget.hh"
 #include "core/context.hh"
 
 namespace tapas {
@@ -60,7 +61,6 @@ class RiskAssessor
                       const std::vector<double> &gpu_power_w);
 
     bool fresh() const { return !risks.empty(); }
-    SimTime lastRefresh() const { return lastRefreshAt; }
 
     /** Whether maybeRefresh() would recompute at the given time. */
     bool
@@ -107,10 +107,10 @@ class RiskAssessor
     std::vector<ServerRisk> risks;
     SimTime lastRefreshAt = -1;
 
+    /** Eq. 3/4 demand and provisions at current loads. */
+    BudgetLedger ledger; // ckpt-skip(scratch): refilled per refresh
     /** Reusable fleet-wide prediction buffers (refresh runs every
      *  risk period; batched passes write into these). */
-    std::vector<double> airflowScratch;  // ckpt-skip(scratch): per-refresh
-    std::vector<double> powerScratch;    // ckpt-skip(scratch): per-refresh
     std::vector<double> inletScratch;    // ckpt-skip(scratch): per-refresh
     std::vector<double> hottestScratch;  // ckpt-skip(scratch): per-refresh
     /** Per-server thermal-risk limit (throttle - margin), hoisted
@@ -118,12 +118,6 @@ class RiskAssessor
     // ckpt-skip(derived): refilled from the fixed layout specs on
     // the next refresh
     std::vector<double> thermalLimitC;
-    /** Per-aisle/row headroom staging for the single assembly
-     *  pass. */
-    std::vector<double> aisleHeadroomScratch; // ckpt-skip(scratch): staging
-    std::vector<char> aisleRiskScratch;       // ckpt-skip(scratch): staging
-    std::vector<double> rowHeadroomScratch;   // ckpt-skip(scratch): staging
-    std::vector<char> rowRiskScratch;         // ckpt-skip(scratch): staging
 
     // --- Sensor-quarantine state ---
     /** Consecutive diverging / healthy refreshes per server. */

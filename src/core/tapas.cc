@@ -65,78 +65,45 @@ TapasController::configurePass(
     // sweep; member scratch only (R3) — capacity persists across
     // passes, so the steady state allocates nothing.
 
-    // --- Per-row unreconfigurable draw and SaaS instance counts.
-    // Member scratch: capacity persists across passes, so the
-    // near-every-step pass allocates nothing. ---
-    rowFixedScratch.assign(layout.rowCount(), 0.0);
+    // --- Per-row/aisle SaaS instance counts, and the budget ledger
+    // at the unreconfigurable loads with the instance servers masked
+    // out of the sums. An instance's server carries zero fixed load,
+    // so the ledger's per-server prediction there is its zero-load
+    // power/airflow floor under the current fitted models (a power
+    // refit replaces them between passes). ---
     rowSaasScratch.assign(layout.rowCount(), 0);
-    aisleFixedScratch.assign(layout.aisleCount(), 0.0);
     aisleSaasScratch.assign(layout.aisleCount(), 0);
-    std::vector<double> &row_fixed_w = rowFixedScratch;
-    std::vector<int> &row_saas = rowSaasScratch;
-    std::vector<double> &aisle_fixed_cfm = aisleFixedScratch;
-    std::vector<int> &aisle_saas = aisleSaasScratch;
-
     saasServerScratch.assign(layout.serverCount(), 0);
+    std::vector<int> &row_saas = rowSaasScratch;
+    std::vector<int> &aisle_saas = aisleSaasScratch;
     std::vector<char> &saas_server = saasServerScratch;
-    for (const SaasInstanceRef &inst : instances)
+    for (const SaasInstanceRef &inst : instances) {
+        if (saas_server[inst.server.index])
+            continue;
         saas_server[inst.server.index] = 1;
+        const Server &server = layout.server(inst.server);
+        ++row_saas[server.row.index];
+        ++aisle_saas[server.aisle.index];
+    }
 
-    // Fleet-wide batched passes feed the fixed-draw accumulation and
-    // the per-instance limits below: one power/airflow pass at the
-    // unreconfigurable loads and one inlet pass at current ambient.
-    // An instance's server carries zero fixed load, so the same pass
-    // also yields its zero-load power/airflow floor: the current
-    // fitted models (a power refit replaces them between passes) at
-    // load 0.
     const std::size_t servers = layout.serverCount();
     fixedLoadScratch.resize(servers);
-    fixedPowerScratch.resize(servers);
-    fixedAirflowScratch.resize(servers);
     inletScratch.resize(servers);
     for (std::size_t s = 0; s < servers; ++s) {
         fixedLoadScratch[s] = view.occupied[s] && !saas_server[s]
             ? view.serverLoads[s]
             : 0.0;
     }
-    profiles->predictPowerBatch(fixedLoadScratch.data(), servers,
-                                fixedPowerScratch.data());
-    profiles->predictAirflowBatch(fixedLoadScratch.data(), servers,
-                                  fixedAirflowScratch.data());
+    ledger.fill(layout, *profiles, cooling, power,
+                fixedLoadScratch.data(), saas_server.data());
     profiles->predictInletBatch(view.outsideC, view.dcLoadFrac,
                                 servers, inletScratch.data());
-
-    for (const Server &server : layout.servers()) {
-        if (saas_server[server.id.index]) {
-            ++row_saas[server.row.index];
-            ++aisle_saas[server.aisle.index];
-            continue;
-        }
-        row_fixed_w[server.row.index] +=
-            fixedPowerScratch[server.id.index];
-        aisle_fixed_cfm[server.aisle.index] +=
-            fixedAirflowScratch[server.id.index];
-    }
 
     const bool emergency =
         cooling.anyFailure() || power.anyFailure();
     const double quality_floor = emergency
         ? cfg.emergencyQualityFloor
         : cfg.normalQualityFloor;
-
-    // Effective provisions are per-row/per-aisle, not per-instance:
-    // evaluate each once per pass (they walk the failure state) and
-    // let the instance loop index the scratch arrays.
-    rowProvisionScratch.resize(layout.rowCount());
-    for (const Row &row : layout.rows()) {
-        rowProvisionScratch[row.id.index] =
-            power.effectiveRowProvision(row.id).value();
-    }
-    aisleProvisionScratch.resize(layout.aisleCount());
-    for (const Aisle &aisle : layout.aisles()) {
-        aisleProvisionScratch[aisle.id.index] =
-            cooling.effectiveProvision(aisle.id).value();
-    }
 
     // Instances at one demand share a candidate group (operating
     // points depend only on candidate and demand). Decisions are
@@ -157,23 +124,21 @@ TapasController::configurePass(
         const ServerSpec &spec = layout.specOf(inst.server);
 
         InstanceLimits limits;
-        const double row_budget =
-            rowProvisionScratch[server.row.index];
         const int saas_in_row =
             std::max(1, row_saas[server.row.index]);
         limits.maxServerPowerW = std::max(
-            (row_budget - row_fixed_w[server.row.index]) /
+            (ledger.rowProvisionW(server.row) -
+             ledger.rowPowerW(server.row)) /
                 saas_in_row,
-            fixedPowerScratch[inst.server.index]);
+            ledger.serverPowerW(inst.server));
 
-        const double aisle_budget =
-            aisleProvisionScratch[server.aisle.index];
         const int saas_in_aisle =
             std::max(1, aisle_saas[server.aisle.index]);
         limits.maxAirflowCfm = std::max(
-            (aisle_budget - aisle_fixed_cfm[server.aisle.index]) /
+            (ledger.aisleProvisionCfm(server.aisle) -
+             ledger.aisleAirflowCfm(server.aisle)) /
                 saas_in_aisle,
-            fixedAirflowScratch[inst.server.index]);
+            ledger.serverAirflowCfm(inst.server));
 
         limits.maxGpuTempC =
             spec.throttleTemp.value() - cfg.gpuTempMarginC;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/allocator.hh"
+#include "core/budget.hh"
 #include "core/configurator.hh"
 #include "core/context.hh"
 #include "core/risk.hh"
@@ -114,24 +115,17 @@ class TapasController
      *  a per-step heap hit the A3 binary pass flagged). */
     std::vector<SimTime> lastReloadAt;
 
-    /** Reusable configurePass scratch (per-row/aisle accumulators
+    /** Eq. 3/4 fixed (unreconfigurable) draw and provisions. */
+    BudgetLedger ledger; // ckpt-skip(scratch): refilled per pass
+    /** Reusable configurePass scratch (per-row/aisle instance counts
      *  and fleet-wide batched-prediction buffers; the pass runs
      *  nearly every step). Contents are dead between passes, only
      *  the capacity persists. */
-    std::vector<double> rowFixedScratch;    // ckpt-skip(scratch): per-pass
     std::vector<int> rowSaasScratch;        // ckpt-skip(scratch): per-pass
-    std::vector<double> aisleFixedScratch;  // ckpt-skip(scratch): per-pass
     std::vector<int> aisleSaasScratch;      // ckpt-skip(scratch): per-pass
     std::vector<char> saasServerScratch;    // ckpt-skip(scratch): per-pass
     std::vector<double> fixedLoadScratch;   // ckpt-skip(scratch): per-pass
-    std::vector<double> fixedPowerScratch;  // ckpt-skip(scratch): per-pass
-    std::vector<double> fixedAirflowScratch; // ckpt-skip(scratch): per-pass
     std::vector<double> inletScratch;       // ckpt-skip(scratch): per-pass
-    /** Per-row/per-aisle effective provisions, hoisted out of the
-     *  per-instance limit computation (one call per row/aisle per
-     *  pass instead of one per instance). */
-    std::vector<double> rowProvisionScratch;   // ckpt-skip(scratch): per-pass
-    std::vector<double> aisleProvisionScratch; // ckpt-skip(scratch): per-pass
     /** Per-demand candidate groups shared by the pass's instances
      *  (cleared each pass; decisions are per-instance independent,
      *  so instances are decided in the caller's order). */

@@ -119,14 +119,6 @@ PowerHierarchy::effectiveRowProvision(RowId id) const
 }
 
 Watts
-PowerHierarchy::upsProvision(UpsId id) const
-{
-    tapas_assert(id.index < upsProvisionW.size(), "unknown UPS %u",
-                 id.index);
-    return Watts(upsProvisionW[id.index]);
-}
-
-Watts
 PowerHierarchy::effectiveUpsProvision(UpsId id) const
 {
     return Watts(upsProvisionW[id.index] * deratingFrac);

@@ -133,7 +133,6 @@ class PowerHierarchy
     /** Budget after any emergency derating. */
     Watts effectiveRowProvision(RowId id) const;
 
-    Watts upsProvision(UpsId id) const;
     Watts effectiveUpsProvision(UpsId id) const;
 
     /** Total provisioned datacenter power. */

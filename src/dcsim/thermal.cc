@@ -245,16 +245,6 @@ ThermalModel::gpuOffset(ServerId id, int gpu) const
                       + static_cast<std::size_t>(gpu)];
 }
 
-double
-ThermalModel::meanSpatialOffset() const
-{
-    double sum = 0.0;
-    for (double v : serverOffsets)
-        sum += v;
-    return serverOffsets.empty()
-        ? 0.0 : sum / static_cast<double>(serverOffsets.size());
-}
-
 CoolingPlant::CoolingPlant(const DatacenterLayout &layout_,
                            const ThermalModel &thermal_)
     : layout(layout_), thermal(thermal_)

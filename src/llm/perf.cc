@@ -481,11 +481,9 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
         batchA[i] = batch;
         busyA[i] = busy;
         pshareA[i] = busy > 0.0 ? u_p / sum : 0.0;
-        // Decode power endpoints (the two cases continuous batching
-        // actually lands on, batch <= 1 taking priority like
-        // decodeGpuPowerAt's fast path); -1 marks the rare
-        // mid-range-batch or uncached-endpoint lanes for the scalar
-        // fixup below.
+        // Decode power endpoints (batch <= 1 taking priority like
+        // decodeGpuPowerAt's fast path); -1 marks the mid-range-batch
+        // or uncached-endpoint lanes for the scalar fixup below.
         double dw = (batch == maxB[i] && bMaxW[i] >= 0.0)
             ? bMaxW[i]
             : -1.0;
@@ -495,7 +493,9 @@ PerfModel::solveOpChunk(const ConfigProfile *const *profiles,
 
     // Scalar fixup: lanes whose decode power needs the full log2
     // formula (or whose profile lacks cached endpoints) go through
-    // decodeGpuPowerAt.
+    // decodeGpuPowerAt. This is not a rare path: in a week-long
+    // flow-level run every lane, configure and assign alike, takes
+    // it.
     for (std::size_t i = 0; i < m; ++i) {
         if (dwA[i] < 0.0)
             dwA[i] =

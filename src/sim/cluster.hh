@@ -36,7 +36,6 @@
 #include "sim/metrics.hh"
 #include "sim/vmtable.hh"
 #include "telemetry/history.hh"
-#include "telemetry/templates.hh"
 #include "workload/requests.hh"
 #include "workload/vmtrace.hh"
 #include "workload/weather.hh"
@@ -118,9 +117,6 @@ class ClusterSim
     /** Count of currently placed VMs. */
     std::size_t activeVmCount() const;
 
-    /** Reference goodput of the default SaaS configuration. */
-    double referenceGoodputTps() const { return refGoodput; }
-
     /** Per-server draw of the last completed step, watts. */
     const std::vector<double> &lastServerDrawW() const
     { return serverDrawW; }
@@ -130,10 +126,6 @@ class ClusterSim
 
     /** Turn on per-phase step timing (see StepPhaseTimes). */
     void enablePhaseTiming() { phaseTiming_ = true; }
-
-    /** Per-GPU temperature of the last completed step. */
-    const std::vector<double> &lastGpuTempC() const
-    { return gpuTempC; }
 
     /**
      * Consistency check of the persistent per-endpoint routing index

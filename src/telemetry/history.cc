@@ -112,13 +112,6 @@ TelemetryStore::rowPowerPeak(RowId id) const
         : 0.0;
 }
 
-SimTime
-TelemetryStore::rowPowerSpan(RowId id) const
-{
-    return id.index < rowPower.size() ? rowPower[id.index].span()
-                                      : 0;
-}
-
 std::vector<RowId>
 TelemetryStore::rowsWithData() const
 {
@@ -191,16 +184,6 @@ TelemetryStore::customerPeakLoad(CustomerId id) const
         return 1.0;
     }
     return customerLoads[id.index].peak;
-}
-
-double
-TelemetryStore::endpointPeakLoad(EndpointId id) const
-{
-    if (id.index >= endpointLoads.size() ||
-        endpointLoads[id.index].first < 0) {
-        return 1.0;
-    }
-    return endpointLoads[id.index].peak;
 }
 
 double

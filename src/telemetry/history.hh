@@ -103,8 +103,6 @@ class TelemetryStore
 
     /** Peak row power seen in the retained window (O(1) digest). */
     double rowPowerPeak(RowId id) const;
-    /** Retained row power series time span (O(1) digest). */
-    SimTime rowPowerSpan(RowId id) const;
 
     /** All row ids with any samples. */
     std::vector<RowId> rowsWithData() const;
@@ -120,7 +118,6 @@ class TelemetryStore
 
     /** Peak (p99-ish: max) observed per-VM load for a customer. */
     double customerPeakLoad(CustomerId id) const;
-    double endpointPeakLoad(EndpointId id) const;
 
     /**
      * Peak load if at least @p min_span of history exists, else the

@@ -479,32 +479,6 @@ ProfileBank::predictAirflowUniformBatch(double load_frac,
 }
 
 void
-ProfileBank::predictPowerGather(const ServerId *ids,
-                                const double *load_frac,
-                                std::size_t n, double *out) const
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        out[i] = powerAt(&powerCoeffs[ids[i].index * kPowerWidth],
-                         load_frac[i]);
-    }
-}
-
-void
-ProfileBank::predictAirflowGather(const ServerId *ids,
-                                  const double *load_frac,
-                                  std::size_t n, double *out) const
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        tapas_assert(ids[i].index < profiledServers,
-                     "server %u not profiled", ids[i].index);
-        out[i] = airflowAt(&airflowCoeffs[ids[i].index * kAirflowWidth],
-                           load_frac[i]);
-    }
-}
-
-void
 ProfileBank::predictHottestGpuBatch(const double *inlet_c,
                                     const double *gpu_power_w,
                                     std::size_t count,

@@ -113,10 +113,10 @@ class ProfileBank
     // Batched prediction passes (the hot-loop entry points).
     //
     // Fleet-wide variants cover servers [0, count) and write one
-    // result per server into the caller-owned output span; gather
-    // variants evaluate an arbitrary server subset; the per-server
-    // "candidates" variants stream one server's coefficient block
-    // over many candidate operating points (configurator scoring).
+    // result per server into the caller-owned output span; the
+    // per-server "candidates" variants stream one server's
+    // coefficient block over many candidate operating points
+    // (configurator scoring).
     // ------------------------------------------------------------
 
     /** Predicted inlet for servers [0, count) at shared ambient
@@ -145,16 +145,6 @@ class ProfileBank
     void predictAirflowUniformBatch(double load_frac,
                                     std::size_t count,
                                     double *out) const;
-
-    /** Predicted server power for an arbitrary server subset. */
-    void predictPowerGather(const ServerId *ids,
-                            const double *load_frac, std::size_t n,
-                            double *out) const;
-
-    /** Predicted airflow for an arbitrary server subset. */
-    void predictAirflowGather(const ServerId *ids,
-                              const double *load_frac, std::size_t n,
-                              double *out) const;
 
     /**
      * Hottest predicted GPU for servers [0, count) from per-server

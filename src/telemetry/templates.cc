@@ -71,11 +71,6 @@ PowerTemplates::build(const TelemetryStore &store,
             store.customerVmPowerSeries(id), kHoursPerDay, kHour,
             quantiles);
     }
-    for (EndpointId id : store.endpointsWithData()) {
-        out.endpointTables[id.index] = buildTable(
-            store.endpointVmPowerSeries(id), kHoursPerDay, kHour,
-            quantiles);
-    }
     return out;
 }
 
@@ -113,16 +108,6 @@ PowerTemplates::predictCustomerVm(CustomerId id, SimTime t,
     return lookup(it->second, hourOfDay(t), level);
 }
 
-double
-PowerTemplates::predictEndpointVm(EndpointId id, SimTime t,
-                                  Level level) const
-{
-    const auto it = endpointTables.find(id.index);
-    tapas_assert(it != endpointTables.end(),
-                 "no endpoint template for endpoint %u", id.index);
-    return lookup(it->second, hourOfDay(t), level);
-}
-
 bool
 PowerTemplates::hasRow(RowId id) const
 {
@@ -133,12 +118,6 @@ bool
 PowerTemplates::hasCustomer(CustomerId id) const
 {
     return customerTables.count(id.index) > 0;
-}
-
-bool
-PowerTemplates::hasEndpoint(EndpointId id) const
-{
-    return endpointTables.count(id.index) > 0;
 }
 
 double

@@ -2,9 +2,10 @@
  * @file
  * Template-based power prediction (the SmartOClock approach the paper
  * adopts, Fig. 14): per hour-of-week quantile templates for row
- * power, per hour-of-day templates for customer/endpoint per-VM
- * power. Built weekly from telemetry; queried by the allocator and
- * router for peak estimation.
+ * power, per hour-of-day templates for customer per-VM power. Built
+ * from telemetry by the Fig. 14 prediction-accuracy bench; the
+ * simulator's placement decisions read the telemetry store's
+ * predicted peaks (TelemetryStore::*PredictedPeak) instead.
  */
 
 #ifndef TAPAS_TELEMETRY_TEMPLATES_HH
@@ -38,9 +39,8 @@ class PowerTemplates
     enum class Level { P50, P90, P99 };
 
     /**
-     * Build row templates at hour-of-week granularity and
-     * customer/endpoint templates at hour-of-day granularity from
-     * the stored history.
+     * Build row templates at hour-of-week granularity and customer
+     * templates at hour-of-day granularity from the stored history.
      */
     static PowerTemplates build(const TelemetryStore &store,
                                 const TemplateQuantiles &quantiles);
@@ -52,13 +52,8 @@ class PowerTemplates
     double predictCustomerVm(CustomerId id, SimTime t,
                              Level level) const;
 
-    /** Predicted per-VM power for a SaaS endpoint. */
-    double predictEndpointVm(EndpointId id, SimTime t,
-                             Level level) const;
-
     bool hasRow(RowId id) const;
     bool hasCustomer(CustomerId id) const;
-    bool hasEndpoint(EndpointId id) const;
 
     /** Peak of a row's P99 template across all buckets. */
     double rowTemplatePeak(RowId id) const;
@@ -75,7 +70,6 @@ class PowerTemplates
 
     std::unordered_map<std::uint32_t, Table> rowTables;
     std::unordered_map<std::uint32_t, Table> customerTables;
-    std::unordered_map<std::uint32_t, Table> endpointTables;
 };
 
 } // namespace tapas

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "core/allocator.hh"
+#include "core/budget.hh"
 #include "telemetry/profile_lanes.hh"
 
 namespace tapas {
@@ -149,11 +150,11 @@ TEST_F(AllocatorTest, TapasBalancesIaasAndSaasWithinRows)
 TEST_F(AllocatorTest, PredictedRowPowerCountsIdleServers)
 {
     // An empty row still draws idle power for provisioned servers.
-    const double empty_row = TapasAllocator::predictedRowPower(
-        view, RowId(0), ServerId(), 0.0);
+    BudgetLedger ledger;
+    ledger.fillPeaks(view);
     const double idle_draw =
         onePowerW(bank, ServerId(0), 0.0);
-    EXPECT_GT(empty_row, 0.8 * idle_draw *
+    EXPECT_GT(ledger.rowPowerW(RowId(0)), 0.8 * idle_draw *
               static_cast<double>(dc.row(RowId(0)).servers.size()));
 }
 
@@ -161,11 +162,12 @@ TEST_F(AllocatorTest, PredictedAirflowGrowsWithExtraVm)
 {
     const AisleId aisle(0);
     const ServerId target = dc.aisle(aisle).servers.front();
-    const double before = TapasAllocator::predictedAisleAirflow(
-        view, aisle, ServerId(), 0.0);
-    const double after = TapasAllocator::predictedAisleAirflow(
-        view, aisle, target, 1.0);
-    EXPECT_GT(after, before);
+    BudgetLedger ledger;
+    ledger.fillPeaks(view);
+    const double before = ledger.aisleAirflowCfm(aisle);
+    occupy(target, VmKind::IaaS, 1.0);
+    ledger.fillPeaks(view);
+    EXPECT_GT(ledger.aisleAirflowCfm(aisle), before);
 }
 
 TEST_F(AllocatorTest, TapasReturnsNulloptWhenAllRowsBlocked)

@@ -12,6 +12,7 @@
 #include "core/tapas.hh"
 #include "llm/engine.hh"
 #include "telemetry/history.hh"
+#include "telemetry/profile_lanes.hh"
 
 namespace tapas {
 namespace {
@@ -247,8 +248,7 @@ TEST_F(TapasControllerTest, AcceptedRefitMovesZeroLoadFloors)
     SimTime t = 0;
     for (int i = 0; i < 24; ++i) {
         const double load = 0.1 + 0.8 * i / 23.0;
-        double power_w = 0.0;
-        bank.predictPowerGather(&sid, &load, 1, &power_w);
+        const double power_w = onePowerW(bank, sid, load);
         ServerSample sample;
         sample.time = t;
         sample.gpuLoad = static_cast<float>(load);

@@ -20,6 +20,7 @@
 #include "common/serialize.hh"
 #include "common/threadpool.hh"
 #include "core/allocator.hh"
+#include "core/budget.hh"
 #include "core/router.hh"
 #include "dcsim/layout.hh"
 #include "dcsim/power.hh"
@@ -147,15 +148,15 @@ TEST_P(AllocatorSafety, PlacementsRespectBudgetsAndOccupancy)
     EXPECT_GT(placed, 30);
 
     // Predicted peaks stay within every budget after the run.
+    BudgetLedger ledger;
+    ledger.fillPeaks(view);
     for (const Row &row : dc.rows()) {
-        EXPECT_LE(TapasAllocator::predictedRowPower(
-                      view, row.id, ServerId(), 0.0),
+        EXPECT_LE(ledger.rowPowerW(row.id),
                   hierarchy.effectiveRowProvision(row.id).value() *
                       1.0001);
     }
     for (const Aisle &aisle : dc.aisles()) {
-        EXPECT_LE(TapasAllocator::predictedAisleAirflow(
-                      view, aisle.id, ServerId(), 0.0),
+        EXPECT_LE(ledger.aisleAirflowCfm(aisle.id),
                   cooling.effectiveProvision(aisle.id).value() *
                       1.0001);
     }

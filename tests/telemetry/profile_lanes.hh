@@ -40,17 +40,18 @@ inline double
 oneAirflowCfm(const ProfileBank &bank, ServerId id, double load_frac)
 {
     double out = 0.0;
-    bank.predictAirflowGather(&id, &load_frac, 1, &out);
+    bank.predictAirflowCandidates(id, &load_frac, 1, &out);
     return out;
 }
 
-/** Fitted Eq. 4 for one server. */
+/** Fitted Eq. 4 for one server (a fleet pass up to that server). */
 inline double
 onePowerW(const ProfileBank &bank, ServerId id, double load_frac)
 {
-    double out = 0.0;
-    bank.predictPowerGather(&id, &load_frac, 1, &out);
-    return out;
+    std::vector<double> loads(id.index + 1, load_frac);
+    std::vector<double> out(loads.size());
+    bank.predictPowerBatch(loads.data(), loads.size(), out.data());
+    return out.back();
 }
 
 } // namespace tapas

@@ -211,30 +211,6 @@ TEST_F(ProfileOracleTest, AirflowBatchesMatchOracle)
     }
 }
 
-TEST_F(ProfileOracleTest, GatherVariantsMatchOracle)
-{
-    // An arbitrary non-contiguous, unordered server subset; loads
-    // outside [0, 1] exercise the clamp.
-    const std::vector<ServerId> ids = {ServerId(7), ServerId(0),
-                                       ServerId(23), ServerId(11),
-                                       ServerId(47), ServerId(7)};
-    const std::vector<double> loads = {0.9, 0.0, 0.33, 1.0, -0.4, 1.2};
-    std::vector<double> out(ids.size());
-    bank.predictPowerGather(ids.data(), loads.data(), ids.size(),
-                            out.data());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_EQ(out[i],
-                  oraclePower(coeffs, ids[i].index, loads[i]));
-    }
-
-    bank.predictAirflowGather(ids.data(), loads.data(), ids.size(),
-                              out.data());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_EQ(out[i],
-                  oracleAirflow(coeffs, ids[i].index, loads[i]));
-    }
-}
-
 TEST_F(ProfileOracleTest, HottestGpuBatchesMatchOracle)
 {
     const std::size_t n = dc.serverCount();

@@ -335,7 +335,8 @@ TEST_F(ProfileBankTest, UnprofiledServerPanics)
     dc.addRack(RowId(0));
     const ServerId fresh(
         static_cast<std::uint32_t>(dc.serverCount() - 1));
-    EXPECT_DEATH(onePowerW(bank, fresh, 0.5), "not profiled");
+    EXPECT_DEATH(oneAirflowCfm(bank, fresh, 0.5), "not profiled");
+    EXPECT_DEATH(onePowerW(bank, fresh, 0.5), "profiled servers");
     EXPECT_DEATH(oneInletC(bank, fresh, 25.0, 0.5),
                  "profiled servers");
 }

@@ -97,6 +97,7 @@ RULES = [
         "receiver_allow": r"[Ss]cratch",
         "include": [
             "src/sim/cluster.cc",
+            "src/core/budget.cc",
             "src/core/configurator.cc",
             "src/core/risk.cc",
             "src/core/tapas.cc",
